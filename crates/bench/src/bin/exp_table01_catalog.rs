@@ -1,9 +1,9 @@
 //! Table 1 / Table 10: the dataset and band-width catalog with input and output sizes.
 //!
 //! For every catalog row the binary instantiates the scaled workload (with the band
-//! width calibrated to the paper's output-to-input ratio, see `DESIGN.md`), computes the
-//! exact output size, and prints the resulting characteristics next to the paper's
-//! numbers.
+//! width calibrated to the paper's output-to-input ratio, see the README's *Datasets
+//! and substitutions* section), computes the exact output size, and prints the
+//! resulting characteristics next to the paper's numbers.
 //!
 //! ```text
 //! cargo run -p bench --release --bin exp_table01_catalog [-- --scale 2e-4]

@@ -1,5 +1,5 @@
 //! Table 2c: impact of band width for the ebird ⋈ cloud spatio-temporal join
-//! (synthetic stand-ins, see `DESIGN.md`).
+//! (synthetic stand-ins, see the README's *Datasets and substitutions* section).
 //!
 //! ```text
 //! cargo run -p bench --release --bin exp_table02c_bandwidth_real [-- --scale 2e-4]

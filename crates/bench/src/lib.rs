@@ -1,8 +1,8 @@
 //! # bench — the experiment harness
 //!
 //! Shared infrastructure for the experiment binaries in `src/bin/`, each of which
-//! regenerates one table or figure of the paper (see `DESIGN.md` for the index and
-//! `EXPERIMENTS.md` for recorded results):
+//! regenerates one table or figure of the paper (see the README's *Reproducing the
+//! paper's experiments* section for the index and the dataset substitutions):
 //!
 //! * [`harness`] — builds every partitioning strategy on a workload, measures
 //!   optimization time, runs the simulated execution, and collects the paper's

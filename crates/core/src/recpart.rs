@@ -681,6 +681,12 @@ pub struct OptimizationReport {
     pub predicted_time: f64,
     /// Wall-clock optimization time in seconds (sampling + tree growth).
     pub optimization_seconds: f64,
+    /// Wall-clock seconds from the optimization's start until the three samples
+    /// were drawn (a subset of [`OptimizationReport::optimization_seconds`]).
+    /// [`RecPart::optimize_with_samples`] measures it as the time between its
+    /// `start` argument and its own entry, so it is 0 up to timer noise for
+    /// samples drawn before `start`.
+    pub sampling_seconds: f64,
     /// Wall-clock seconds spent scoring candidate splits (a subset of
     /// [`OptimizationReport::optimization_seconds`]).
     pub split_search_seconds: f64,
@@ -910,7 +916,14 @@ impl RecPart {
             .clamp(1, total - 1);
         let s_sample = InputSample::draw(s, s_share, rng);
         let t_sample = InputSample::draw(t, total - s_share, rng);
-        let o_sample = OutputSample::draw(s, t, band, &self.config.sample, rng);
+        let o_sample = OutputSample::draw_on(
+            s,
+            t,
+            band,
+            &self.config.sample,
+            rng,
+            self.parallelism().threads(),
+        );
 
         Ok(self.optimize_with_samples(
             s.len(),
@@ -1060,8 +1073,10 @@ struct GrownState {
 
 impl<'a> OptimizerState<'a> {
     fn run(&self, start: Instant) -> RecPartResult {
+        // The samples were drawn between `start` and now.
+        let sampling_seconds = start.elapsed().as_secs_f64();
         let grown = self.grow();
-        self.finalize(grown, start)
+        self.finalize(grown, start, sampling_seconds)
     }
 
     /// Evaluate the current tree under the configured [`Evaluator`]: the
@@ -2199,7 +2214,7 @@ impl<'a> OptimizerState<'a> {
         }
     }
 
-    fn finalize(&self, grown: GrownState, start: Instant) -> RecPartResult {
+    fn finalize(&self, grown: GrownState, start: Instant, sampling_seconds: f64) -> RecPartResult {
         let GrownState {
             tree: mut grown_tree,
             undo_log,
@@ -2288,6 +2303,7 @@ impl<'a> OptimizerState<'a> {
             estimated_output: self.est_output,
             predicted_time: winner.eval.predicted_time,
             optimization_seconds: start.elapsed().as_secs_f64(),
+            sampling_seconds,
             split_search_seconds,
             evaluation_seconds,
             split_search,
@@ -2396,6 +2412,23 @@ mod tests {
         assert!(result.report.iterations > 0);
         assert!(result.report.estimated_dup_overhead >= 0.0);
         assert!(result.report.optimization_seconds >= 0.0);
+    }
+
+    #[test]
+    fn sampling_seconds_is_a_subset_of_optimization_seconds() {
+        let s = uniform_relation(4000, 1, 0.0, 100.0, 4);
+        let t = uniform_relation(4000, 1, 0.0, 100.0, 5);
+        let band = BandCondition::symmetric(&[0.2]);
+        let cfg = RecPartConfig::new(8).with_sample(small_sample_config());
+        let r = RecPart::new(cfg)
+            .optimize(&s, &t, &band, &mut StdRng::seed_from_u64(6))
+            .report;
+        assert!(r.sampling_seconds > 0.0, "drawing samples takes time");
+        assert!(
+            r.sampling_seconds + r.split_search_seconds + r.evaluation_seconds
+                <= r.optimization_seconds,
+            "sampling, split search and evaluation are disjoint parts of optimization"
+        );
     }
 
     #[test]

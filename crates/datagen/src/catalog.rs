@@ -12,8 +12,8 @@
 //! *calibrates* the band width: it scales the paper's band-width vector by a single
 //! multiplier, chosen by bisection, so that the estimated output-to-input ratio of the
 //! scaled workload matches the paper's ratio for that row. Rows with (near-)zero paper
-//! output keep the paper's band widths unchanged. The substitution is documented in
-//! `DESIGN.md` and `EXPERIMENTS.md`.
+//! output keep the paper's band widths unchanged. The README's *Datasets and
+//! substitutions* section summarizes the substitution.
 
 use crate::pareto::ParetoGenerator;
 use crate::sky::SkySurveyGenerator;

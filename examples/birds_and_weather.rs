@@ -16,7 +16,8 @@ fn main() {
     let mut rng = StdRng::seed_from_u64(7);
 
     // Synthetic stand-ins for the ebird and cloud datasets: clustered spatio-temporal
-    // observations with shared hot spots (see DESIGN.md for the substitution notes).
+    // observations with shared hot spots (see the README's "Datasets and
+    // substitutions" section).
     let birds_gen = BirdObservationGenerator::new(SpatialConfig::default(), &mut rng);
     let weather_gen = birds_gen.paired_weather_generator(&mut rng);
     let birds = birds_gen.generate(40_000, &mut rng);
