@@ -4,6 +4,10 @@
 //! only), and the subsumed-hit path (narrower band answered from a wider
 //! cached plan's arenas). The cold/warm gap is the serving tier's headline —
 //! `exp_serve_smoke` gates it in CI; this bench gives the detailed curves.
+//! Those three groups turn verification off to time the serving machinery
+//! alone; `serve_warm_hit_verified` times a warm hit under the service's
+//! default configuration, whose `Count` verification sweeps the service's
+//! cached exact-join index.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use distsim::{BandJoinQuery, BandJoinService, ServiceConfig, VerificationLevel};
@@ -59,6 +63,25 @@ fn bench_warm_hit(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_warm_hit_verified(c: &mut Criterion) {
+    let mut group = c.benchmark_group("serve_warm_hit_verified");
+    group.sample_size(10);
+    let (s, t) = workload();
+    for (label, eps) in BAND_ROWS {
+        let query = BandJoinQuery::new(BandCondition::symmetric(&[eps]), WORKERS);
+        let mut service = BandJoinService::new(s.clone(), t.clone(), ServiceConfig::default());
+        service.serve(&query).unwrap();
+        group.bench_function(BenchmarkId::new(label, 2 * PER_SIDE), |b| {
+            b.iter(|| {
+                let report = service.serve(&query).unwrap().report;
+                assert_eq!(report.correct, Some(true));
+                report.stats.output_len
+            })
+        });
+    }
+    group.finish();
+}
+
 fn bench_subsumed_hit(c: &mut Criterion) {
     let mut group = c.benchmark_group("serve_subsumed_hit");
     group.sample_size(10);
@@ -80,6 +103,7 @@ criterion_group!(
     benches,
     bench_cold_build,
     bench_warm_hit,
+    bench_warm_hit_verified,
     bench_subsumed_hit
 );
 criterion_main!(benches);

@@ -35,7 +35,9 @@ use crate::machine::{MachineModel, WorkerWork};
 use crate::metrics::ShardStats;
 use crate::parallel::{chunk_ranges, Parallelism};
 use crate::shuffle::{shuffle, PartitionedIndex, ShuffleConfig, ShuffledInputs};
-use crate::verify::{check_pairs_against, exact_join_count_on, exact_join_pairs_on, PairCheck};
+use crate::verify::{
+    check_pairs_against, exact_join_count_on, exact_join_pairs_on, ExactJoinIndex, PairCheck,
+};
 use rayon::prelude::*;
 use recpart::{
     BandCondition, LoadModel, LptHeap, Partitioner, PartitioningStats, Relation, WorkerLoad,
@@ -436,6 +438,7 @@ impl Executor {
             map_shuffle_wall_seconds,
             local,
             false,
+            None,
         )
     }
 
@@ -476,7 +479,17 @@ impl Executor {
         );
         let materialize = self.config.verification == VerificationLevel::FullPairs;
         let local = self.run_local_joins(s, t, band, s_parts, t_parts, materialize);
-        self.assemble_report(partitioner, s, t, band, num_partitions, 0.0, local, false)
+        self.assemble_report(
+            partitioner,
+            s,
+            t,
+            band,
+            num_partitions,
+            0.0,
+            local,
+            false,
+            None,
+        )
     }
 
     /// Execute the band-join with shared-nothing shard workers: the partition space
@@ -566,6 +579,7 @@ impl Executor {
             map_shuffle_wall_seconds,
             local,
             false,
+            None,
         );
         let simulated_sharded_seconds = self.config.machine.sharded_join_seconds(
             report.stats.total_input,
@@ -587,6 +601,9 @@ impl Executor {
     /// default loads): stats are computed over what survived, and verification
     /// is skipped — an exact-join comparison against missing work would flag
     /// the degradation as incorrectness.
+    /// `exact_index` is a cached [`ExactJoinIndex`] over exactly `s` and `t`
+    /// (the serving tier keeps one per dataset generation); `None` verifies
+    /// with a transient one-call index.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn assemble_report<P: Partitioner + ?Sized>(
         &self,
@@ -598,6 +615,7 @@ impl Executor {
         map_shuffle_wall_seconds: f64,
         local: LocalJoinPhase,
         degraded: bool,
+        exact_index: Option<&ExactJoinIndex>,
     ) -> ExecutionReport {
         let LocalJoinPhase {
             per_partition,
@@ -667,7 +685,10 @@ impl Executor {
         let (exact_output, correct, pair_check) = match verification {
             VerificationLevel::None => (None, None, None),
             VerificationLevel::Count => {
-                let exact = par.run(|| exact_join_count_on(s, t, band, pieces));
+                let exact = par.run(|| match exact_index {
+                    Some(index) => index.count_on(s, t, band, pieces),
+                    None => exact_join_count_on(s, t, band, pieces),
+                });
                 (Some(exact), Some(exact == output_count), None)
             }
             VerificationLevel::FullPairs => {
@@ -675,7 +696,10 @@ impl Executor {
                 // One exact join serves both the pair-level check and the exact
                 // output count (the exact result never contains duplicates).
                 let (check, exact) = par.run(|| {
-                    let exact_pairs = exact_join_pairs_on(s, t, band, pieces);
+                    let exact_pairs = match exact_index {
+                        Some(index) => index.pairs_on(s, t, band, pieces),
+                        None => exact_join_pairs_on(s, t, band, pieces),
+                    };
                     let check = check_pairs_against(&exact_pairs, &pairs);
                     (check, exact_pairs.len() as u64)
                 });

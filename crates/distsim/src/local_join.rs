@@ -23,8 +23,9 @@
 //! [`recpart::simd`] for the kernel contract and NaN policy.
 //!
 //! Vectorized probes are processed in blocks: each block is sorted on dimension 0
-//! once, swept with the amortized sliding window the scalar [`SortMerge`] path uses,
-//! and its pairs are emitted through a stable inverse permutation — so pair **order**
+//! once, swept with a window that gallops forward from the previous probe's window
+//! (the block's first probe binary-searches), and its pairs are emitted through a
+//! stable inverse permutation — so pair **order**
 //! stays bit-identical to the scalar per-probe binary-search loop, which remains
 //! in-tree verbatim as the measured baseline and proptest oracle.
 //!
@@ -84,7 +85,7 @@ pub struct SortedProbeSide {
     cols: Vec<Vec<f64>>,
     /// Does the sort key start with a negative NaN? `total_cmp` orders negative NaN
     /// before `-inf`, which makes the window predicates (`v < lo`, `v <= hi`)
-    /// non-partitioned — the sliding-window advance then cannot reproduce
+    /// non-partitioned — the galloping window advance then cannot reproduce
     /// `partition_point`, so the blocked probe falls back to per-probe binary
     /// search (the scalar oracle's own window computation).
     neg_nan_first: bool,
@@ -203,17 +204,21 @@ fn probe_scalar(
 
 /// The vectorized probe path: process probes in blocks, sort each block on dimension
 /// 0 once (stable order: key `total_cmp`, then arrival position), advance the
-/// dimension-0 window with amortized sliding pointers, evaluate each window with the
+/// dimension-0 window by galloping from the previous one, evaluate each window with the
 /// vector kernel, and emit pairs through the block's inverse permutation so the
 /// output order matches the scalar probe loop exactly.
 ///
 /// Window equivalence with the scalar `partition_point`s: for finite probe keys the
 /// window bounds `lo`/`hi` are non-decreasing in block-sorted order, and — absent a
 /// leading negative NaN in the sort key (see [`SortedProbeSide::neg_nan_first`]) —
-/// the predicates `v < lo` / `v <= hi` are partitioned over the column, so a forward
-/// scan from the previous boundary stops exactly at the `partition_point`. Probes
-/// with non-finite keys (NaN bounds are never monotone) fall back to the literal
-/// binary search without touching the shared pointers.
+/// the predicates `v < lo` / `v <= hi` are partitioned over the column, so a search
+/// that starts at the previous boundary finds exactly the `partition_point`. The
+/// block's first finite probe binary-searches the whole column; every later one
+/// [`gallop`]s forward from the previous window, so a block costs
+/// O(block · log(gap)) window steps for an average `gap` between consecutive
+/// windows, instead of a walk from index 0 over the whole column. Probes with
+/// non-finite keys (NaN bounds are never monotone) fall back to the literal binary
+/// search without touching the shared window.
 fn probe_blocked(
     kernel: JoinKernel,
     s: &Relation,
@@ -224,7 +229,6 @@ fn probe_blocked(
 ) -> LocalJoinResult {
     let mut result = LocalJoinResult::default();
     let vals = side.key_col();
-    let n = vals.len();
     let s_key = s.column(0);
     let collect = pairs.is_some();
 
@@ -255,29 +259,32 @@ fn probe_blocked(
             slots.clear();
             slots.resize(block.len(), (0, 0));
         }
-        let (mut w_start, mut w_end) = (0usize, 0usize);
+        // The last finite probe's window; `None` until the block's first one.
+        let mut window: Option<(usize, usize)> = None;
         for &bp in &order {
             let si = block[bp as usize];
             let sk = s.key(si as usize);
             let (lo, hi) = band.range_around_s(0, sk[0]);
-            let (start, end) = if side.neg_nan_first || !sk[0].is_finite() {
-                // Non-partitioned predicate or non-monotone bounds: compute the
-                // window exactly as the scalar oracle does.
+            let exact = || {
                 (
                     vals.partition_point(|&v| v < lo),
                     vals.partition_point(|&v| v <= hi),
                 )
+            };
+            let (start, end) = if side.neg_nan_first || !sk[0].is_finite() {
+                // Non-partitioned predicate or non-monotone bounds: compute the
+                // window exactly as the scalar oracle does.
+                exact()
             } else {
-                while w_start < n && vals[w_start] < lo {
-                    w_start += 1;
-                }
-                if w_end < w_start {
-                    w_end = w_start;
-                }
-                while w_end < n && vals[w_end] <= hi {
-                    w_end += 1;
-                }
-                (w_start, w_end)
+                let next = match window {
+                    None => exact(),
+                    Some((w_start, w_end)) => {
+                        let start = gallop(vals, w_start, |v| v < lo);
+                        (start, gallop(vals, w_end.max(start), |v| v <= hi))
+                    }
+                };
+                window = Some(next);
+                next
             };
             result.comparisons += (end - start) as u64;
             if collect {
@@ -302,6 +309,22 @@ fn probe_blocked(
         }
     }
     result
+}
+
+/// `vals.partition_point(pred)` for a `pred` that is partitioned over `vals` (true,
+/// then false) with its boundary at or after `from`. Exponential steps from `from`
+/// bracket the boundary, then a binary search inside the last step finds it, so the
+/// cost is O(log(boundary − from)) predicate evaluations.
+fn gallop(vals: &[f64], from: usize, pred: impl Fn(f64) -> bool) -> usize {
+    let n = vals.len();
+    // Invariant: `pred` holds on `vals[from..lo]`, and fails at `hi` unless `hi == n`.
+    let (mut lo, mut hi, mut step) = (from, from, 1usize);
+    while hi < n && pred(vals[hi]) {
+        lo = hi + 1;
+        hi = lo.saturating_add(step).min(n);
+        step = step.saturating_mul(2);
+    }
+    lo + vals[lo..hi].partition_point(|&v| pred(v))
 }
 
 /// The sort-merge sweep shared by [`LocalJoinAlgorithm::SortMerge`]'s indexed and

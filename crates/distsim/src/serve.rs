@@ -30,10 +30,19 @@
 //! the service keeps serving; recovery accounting accumulates in
 //! [`ServiceHealth`].
 //!
+//! Verified responses (`Count` by default) check the distributed output
+//! against an exact single-node join. The service keeps that join's sorted
+//! inputs — an exact-join index over S and T — so every verification after the
+//! first is one linear sweep with no sort (see [`crate::verify`]). The index is
+//! built lazily by the first verified query, which pays the build inside its
+//! own `verify_wall_seconds`; [`ServiceHealth::exact_index_builds`] counts the
+//! builds.
+//!
 //! Mutating the dataset ([`BandJoinService::append_s`]/[`append_t`]) bumps the
 //! relation's generation; generations are part of every [`PlanKey`], so a
 //! mutated dataset can never be served from a stale arena. Stale plans are
-//! purged eagerly (counted as evictions).
+//! purged eagerly (counted as evictions), and the exact-join index is dropped
+//! and rebuilt by the next verified query.
 //!
 //! [`append_t`]: BandJoinService::append_t
 
@@ -45,12 +54,14 @@ use crate::metrics::RecoveryCounters;
 use crate::plan_cache::{CacheOutcome, CachedPlan, PlanCache, PlanKey};
 use crate::shuffle::{PartitionedIndex, ShuffleConfig, ShuffledInputs};
 use crate::supervise::{SuperviseError, SupervisorConfig};
+use crate::verify::ExactJoinIndex;
 use rand::{rngs::StdRng, SeedableRng};
 use recpart::{
     BandCondition, LoadModel, RecPart, RecPartConfig, Relation, SampleConfig, SplitTreePartitioner,
 };
 use recpart::{Partitioner, PlanCacheCounters};
 use serde::{Deserialize, Serialize};
+use std::time::Instant;
 
 /// Everything the service fixes at load time; per-query knobs (band, workers,
 /// materialization) live on [`BandJoinQuery`].
@@ -281,6 +292,10 @@ pub struct ServiceHealth {
     pub queries_served: u64,
     /// Responses flagged degraded (a supervised shard exhausted its retries).
     pub degraded_responses: u64,
+    /// Builds of the exact-join index that verification sweeps: one per
+    /// dataset generation that served a verified query. Warm and subsumed hits
+    /// never build it; an append drops it.
+    pub exact_index_builds: u64,
 }
 
 /// A long-running band-join server: owns the dataset and the plan cache,
@@ -298,6 +313,30 @@ pub struct BandJoinService {
     shuffles_run: u64,
     queries_served: u64,
     degraded_responses: u64,
+    exact_index: ExactIndexSlot,
+}
+
+/// The service's [`ExactJoinIndex`]: built by the first verified query of a
+/// dataset generation, dropped when an append bumps one.
+#[derive(Default)]
+struct ExactIndexSlot {
+    index: Option<ExactJoinIndex>,
+    builds: u64,
+}
+
+impl ExactIndexSlot {
+    /// The index over `s` and `t`, and the seconds spent building it now (0 if
+    /// it was already built).
+    fn get(&mut self, s: &Relation, t: &Relation) -> (&ExactJoinIndex, f64) {
+        let mut build_seconds = 0.0;
+        if self.index.is_none() {
+            let start = Instant::now();
+            self.index = Some(ExactJoinIndex::build(s, t));
+            self.builds += 1;
+            build_seconds = start.elapsed().as_secs_f64();
+        }
+        (self.index.as_ref().expect("built above"), build_seconds)
+    }
 }
 
 /// What the reduce-and-report stage hands back for one query.
@@ -328,6 +367,7 @@ impl BandJoinService {
             shuffles_run: 0,
             queries_served: 0,
             degraded_responses: 0,
+            exact_index: ExactIndexSlot::default(),
         }
     }
 
@@ -348,18 +388,22 @@ impl BandJoinService {
 
     /// Append a tuple to S. Bumps S's generation, so every cached plan becomes
     /// unreachable and is purged (a mutated dataset is never served from a
-    /// stale arena).
+    /// stale arena), and the exact-join index is dropped.
     pub fn append_s(&mut self, key: &[f64]) {
         self.s.push(key);
-        self.cache
-            .purge_stale(self.s.generation(), self.t.generation());
+        self.purge_stale();
     }
 
     /// Append a tuple to T. See [`BandJoinService::append_s`].
     pub fn append_t(&mut self, key: &[f64]) {
         self.t.push(key);
+        self.purge_stale();
+    }
+
+    fn purge_stale(&mut self) {
         self.cache
             .purge_stale(self.s.generation(), self.t.generation());
+        self.exact_index.index = None;
     }
 
     /// Aggregated introspection: cache and recovery counters, shuffle volume,
@@ -373,6 +417,7 @@ impl BandJoinService {
             cached_plans: self.cache.len(),
             queries_served: self.queries_served,
             degraded_responses: self.degraded_responses,
+            exact_index_builds: self.exact_index.builds,
         }
     }
 
@@ -441,6 +486,7 @@ impl BandJoinService {
                     query.materialize,
                     &injector,
                     &mut counters,
+                    &mut self.exact_index,
                 )?;
                 (source, plan_signature, reduced)
             }
@@ -486,6 +532,7 @@ impl BandJoinService {
                     query.materialize,
                     &injector,
                     &mut counters,
+                    &mut self.exact_index,
                 )?;
                 let plan_signature = partitioner.plan_signature();
                 // A degraded *response* does not poison the *plan*: the arenas
@@ -545,7 +592,9 @@ impl BandJoinService {
 /// per-partition computation is [`Executor::join_partition`] and the report
 /// assembly is the executor's own — bit-identity with `Executor::execute` is
 /// by construction, for the plan's own band and for any narrower one (see the
-/// module docs on subsumption).
+/// module docs on subsumption). A verified, non-degraded report is checked
+/// through the service's exact-join index; if this query builds it, the build
+/// time is part of the report's `verify_wall_seconds`.
 #[allow(clippy::too_many_arguments)]
 fn reduce_on_arenas(
     exec: &Executor,
@@ -560,6 +609,7 @@ fn reduce_on_arenas(
     want_pairs: bool,
     injector: &FaultInjector,
     counters: &mut RecoveryCounters,
+    exact_index: &mut ExactIndexSlot,
 ) -> Result<ReduceOutcome, SuperviseError> {
     let num_partitions = partitioner.num_partitions().max(1);
     assert_eq!(
@@ -603,7 +653,13 @@ fn reduce_on_arenas(
         local.all_pairs.take()
     };
 
-    let report = exec.assemble_report(
+    let (index, index_build_seconds) = if verification != VerificationLevel::None && !degraded {
+        let (index, seconds) = exact_index.get(s, t);
+        (Some(index), seconds)
+    } else {
+        (None, 0.0)
+    };
+    let mut report = exec.assemble_report(
         partitioner,
         s,
         t,
@@ -612,7 +668,9 @@ fn reduce_on_arenas(
         map_shuffle_wall_seconds,
         local,
         degraded,
+        index,
     );
+    report.verify_wall_seconds += index_build_seconds;
     Ok(ReduceOutcome {
         report,
         pairs,

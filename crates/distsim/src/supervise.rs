@@ -331,6 +331,7 @@ impl Executor {
             map_shuffle_wall_seconds,
             local,
             degraded,
+            None,
         );
         let simulated_sharded_seconds = self.config().machine.sharded_join_seconds(
             report.stats.total_input,

@@ -16,6 +16,9 @@ use distsim::{
     probe_sorted_with, JoinKernel, LocalJoinAlgorithm, LocalJoinResult, SortedProbeSide,
 };
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::seq::SliceRandom;
+use rand::{Rng, SeedableRng};
 use recpart::{BandCondition, Relation};
 use serde::{Deserialize, Value};
 
@@ -196,6 +199,109 @@ fn empty_sides_and_empty_windows() {
             }
             let res = algo.join_full_with(kernel, &far_s, &far_t, &band, None);
             assert_eq!(res.output, 0, "{} kernel {}", algo.name(), kernel.name());
+        }
+    }
+}
+
+/// Dimension-0 values for the multi-block test: uniform, with a share `ties` of
+/// three repeated values.
+fn tied_coord(rng: &mut StdRng, ties: f64) -> f64 {
+    if rng.gen::<f64>() < ties {
+        [0.5, -1.0, 4.0][rng.gen_range(0..3usize)]
+    } else {
+        rng.gen_range(-40.0..40.0)
+    }
+}
+
+/// The blocked probe crosses `PROBE_BLOCK` (1,024) boundaries with a window
+/// that carries over between probes of a block and starts afresh per block:
+/// every kernel must stay bit-identical to the scalar probe — pairs, pair
+/// order, `output`, `comparisons` — whatever order the probes arrive in, with
+/// non-finite probes interleaved, and over a T column that starts with −NaN.
+/// T is ~12× denser than a block's probes, so a block's consecutive windows
+/// are both adjacent and far apart.
+#[test]
+fn multi_block_probes_are_bit_identical_to_scalar() {
+    const PROBES: usize = 3_000;
+    const SPECIALS: [f64; 4] = [f64::INFINITY, f64::NEG_INFINITY, f64::NAN, -f64::NAN];
+    let mut rng = StdRng::seed_from_u64(0xB10C);
+    // Every 37th S tuple has a non-finite dimension-0 key.
+    let s_rows: Vec<Vec<f64>> = (0..PROBES)
+        .map(|i| {
+            let k0 = if i % 37 == 5 {
+                SPECIALS[(i / 37) % SPECIALS.len()]
+            } else {
+                tied_coord(&mut rng, 0.2)
+            };
+            vec![k0, rng.gen_range(-10.0..10.0)]
+        })
+        .collect();
+    let s = relation(&s_rows, 2);
+    let mut t_rows: Vec<Vec<f64>> = (0..12_000)
+        .map(|_| vec![tied_coord(&mut rng, 0.05), rng.gen_range(-10.0..10.0)])
+        .collect();
+    t_rows.extend([
+        vec![f64::INFINITY, 0.0],
+        vec![f64::NEG_INFINITY, 1.0],
+        vec![f64::NAN, 2.0],
+    ]);
+    let t_plain = relation(&t_rows, 2);
+    t_rows.push(vec![-f64::NAN, 3.0]);
+    let t_neg_nan = relation(&t_rows, 2);
+
+    // Probe orders: arrival, ascending, descending, random, and ascending
+    // finite keys with the non-finite probes interleaved every 100 positions.
+    let key = s.column(0);
+    let arrival: Vec<u32> = (0..PROBES as u32).collect();
+    let mut ascending = arrival.clone();
+    ascending.sort_by(|&a, &b| key[a as usize].total_cmp(&key[b as usize]));
+    let descending: Vec<u32> = ascending.iter().rev().copied().collect();
+    let mut random = arrival.clone();
+    random.shuffle(&mut rng);
+    let (specials, finite): (Vec<u32>, Vec<u32>) = ascending
+        .iter()
+        .partition(|&&i| !key[i as usize].is_finite());
+    let mut interleaved = Vec::with_capacity(PROBES);
+    let mut specials = specials.into_iter();
+    for chunk in finite.chunks(100) {
+        interleaved.extend(specials.next());
+        interleaved.extend_from_slice(chunk);
+    }
+    interleaved.extend(specials);
+    assert_eq!(interleaved.len(), PROBES);
+
+    let band = BandCondition::try_asymmetric(&[0.05, 4.0], &[0.1, 4.0]).unwrap();
+    for (t_label, t) in [("plain T", &t_plain), ("-NaN-led T", &t_neg_nan)] {
+        let side = SortedProbeSide::build_full(t);
+        for (order_label, order) in [
+            ("arrival", &arrival),
+            ("ascending", &ascending),
+            ("descending", &descending),
+            ("random", &random),
+            ("interleaved", &interleaved),
+        ] {
+            let probes = || order.iter().copied();
+            let mut scalar_pairs = Vec::new();
+            let scalar = probe_sorted_with(
+                JoinKernel::Scalar,
+                &s,
+                t,
+                &side,
+                &band,
+                probes(),
+                Some(&mut scalar_pairs),
+            );
+            assert!(scalar.output > 0, "test needs non-empty output");
+            for kernel in JoinKernel::all_supported() {
+                let label = format!("{t_label}, {order_label} probes, kernel {}", kernel.name());
+                let mut pairs = Vec::new();
+                let res =
+                    probe_sorted_with(kernel, &s, t, &side, &band, probes(), Some(&mut pairs));
+                assert_eq!(res, scalar, "{label}");
+                assert_eq!(pairs, scalar_pairs, "{label}: same pairs in the same order");
+                let counted = probe_sorted_with(kernel, &s, t, &side, &band, probes(), None);
+                assert_eq!(counted, scalar, "{label}: count-only");
+            }
         }
     }
 }

@@ -234,6 +234,58 @@ fn mutation_bumps_generation_and_never_serves_stale_arenas() {
     assert_health_invariants(&service, 3);
 }
 
+/// The service's exact-join index belongs to one dataset generation: the
+/// first verified query builds it, warm and subsumed hits reuse it, and an
+/// append drops it so the next query verifies against the mutated relations.
+#[test]
+fn exact_join_index_is_rebuilt_per_generation_and_never_stale() {
+    let (s, t) = workload(19, 2_500, 1);
+    // Default configuration (Count verification, all cores) apart from a
+    // small optimizer sample.
+    let config = ServiceConfig::new().with_sample(small_sample());
+    assert_eq!(config.verification, VerificationLevel::Count);
+    let mut service = BandJoinService::new(s, t, config);
+    assert_eq!(service.health().exact_index_builds, 0, "built lazily");
+    let wide = BandJoinQuery::new(BandCondition::symmetric(&[0.02]), 4);
+    let narrow = BandJoinQuery::new(BandCondition::symmetric(&[0.01]), 4);
+
+    let mut last_exact = None;
+    for mutation in ["none", "append_s", "append_t"] {
+        let builds_before = service.health().exact_index_builds;
+        match mutation {
+            "append_s" => service.append_s(&[0.05]),
+            "append_t" => service.append_t(&[0.05]),
+            _ => {}
+        }
+        for (query, source) in [
+            (&wide, PlanSource::ColdBuild),
+            (&wide, PlanSource::WarmHit),
+            (&narrow, PlanSource::SubsumedHit),
+        ] {
+            let response = service.serve(query).expect("query");
+            let label = format!("after {mutation}, {source:?}");
+            assert_eq!(response.source, source, "{label}");
+            assert_eq!(response.report.correct, Some(true), "{label}");
+            let exact = exact_join_count(service.s(), service.t(), &query.band);
+            assert_eq!(response.report.exact_output, Some(exact), "{label}");
+            assert_eq!(
+                service.health().exact_index_builds,
+                builds_before + 1,
+                "{label}: one build per generation, none on warm or subsumed hits"
+            );
+            if source == PlanSource::ColdBuild {
+                assert_ne!(
+                    last_exact,
+                    Some(exact),
+                    "{label}: the append changes the join"
+                );
+                last_exact = Some(exact);
+            }
+        }
+    }
+    assert_health_invariants(&service, 9);
+}
+
 #[test]
 fn lru_eviction_respects_the_byte_capacity() {
     let (s, t) = workload(17, 500, 2);
