@@ -88,7 +88,7 @@ struct Coverage {
 }
 
 /// Flat output of the block routing API: the assignments of one block of tuples in
-/// routing order, recorded in one of three modes (see [`SinkState`]):
+/// routing order, recorded in one of three modes (see `SinkState`):
 ///
 /// * **pairs** ([`AssignmentSink::new`]) — materialized `(partition, tuple index)`
 ///   pairs plus per-partition counts; the reference representation.
@@ -104,7 +104,7 @@ struct Coverage {
 /// grouped by tuple, tuples in ascending index order — the same order the per-tuple
 /// [`Partitioner::assign_s`]/[`Partitioner::assign_t`] loop produces — so that
 /// per-partition arena contents stay bit-identical to per-tuple routing.
-/// (Not `Clone` — see [`SinkState`].)
+/// (Not `Clone` — see `SinkState`.)
 #[derive(Debug, PartialEq, Eq)]
 pub struct AssignmentSink {
     state: SinkState,

@@ -19,7 +19,7 @@
 //! A block of tuples then descends with one reusable stack (no recursion, no
 //! per-tuple `Vec<PartitionId>`) and unchecked node-array indexing (every child id
 //! was validated at compile time), writing straight into an
-//! [`AssignmentSink`](crate::partition::AssignmentSink). Routing is **bit-identical**
+//! [`AssignmentSink`]. Routing is **bit-identical**
 //! to the tree walk: same partition ids in the same order for every tuple.
 
 use crate::band::BandCondition;
@@ -378,7 +378,7 @@ fn with_block_scratch<R>(f: impl FnOnce(&mut BlockScratch) -> R) -> R {
 ///
 /// `Deserialize` is implemented manually (not derived) so that every router that
 /// enters the program — whether compiled from a tree or read back from JSON — has
-/// passed [`CompiledRouter::validate`] before the unchecked descent can run.
+/// passed `CompiledRouter::validate` before the unchecked descent can run.
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct CompiledRouter {
     s_side: SideTable,
@@ -676,7 +676,7 @@ impl CompiledRouter {
 }
 
 /// Manual `Deserialize`: field-by-field like the derive would generate, plus the
-/// [`CompiledRouter::validate`] gate — a corrupted or hand-crafted serialized router
+/// `CompiledRouter::validate` gate — a corrupted or hand-crafted serialized router
 /// must be rejected here, not discovered by the unchecked descent.
 impl serde::Deserialize for CompiledRouter {
     fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {

@@ -3,7 +3,7 @@
 //! A split-tree leaf is *small* once its extent is below twice the band width in every
 //! dimension (Section 4.2): essentially all S- and T-tuples inside it join with each
 //! other, so the local computation behaves like a Cartesian product — for which
-//! 1-Bucket [28] is near-optimal. Instead of further recursive splits, a small leaf
+//! 1-Bucket \[28\] is near-optimal. Instead of further recursive splits, a small leaf
 //! maintains an internal grid of `r` row × `c` column sub-partitions: every S-tuple is
 //! assigned to one random row (and therefore copied to the `c` cells of that row), every
 //! T-tuple to one random column (copied to `r` cells). Each candidate "split" of a small

@@ -1,6 +1,6 @@
 //! The running-time model `M(I, I_m, O_m) = β₀ + β₁·I + β₂·I_m + β₃·O_m`.
 //!
-//! Following Li et al. [24] (and Section 2 of the band-join paper), join time is modeled
+//! Following Li et al. \[24\] (and Section 2 of the band-join paper), join time is modeled
 //! as a piecewise-linear function of the total shuffled input `I`, the input of the most
 //! loaded worker `I_m`, and the output of the most loaded worker `O_m`. The coefficients
 //! are obtained by linear regression over a calibration benchmark run offline once per

@@ -1,25 +1,37 @@
 //! The map–shuffle–reduce executor: runs a band-join under a given partitioning on a
 //! simulated cluster and reports the paper's success measures.
 //!
-//! Pipeline (mirroring Figure 5 of the paper):
+//! Every entry point runs one pipeline, `Executor::run`, which mirrors Figure 5 of
+//! the paper:
 //!
-//! 1. **Map / partition**: every input tuple is routed through the
-//!    [`Partitioner`], which may copy it to several partitions (duplication). The
+//! 1. **Map / shuffle** — or take given arenas. Every input tuple is routed through
+//!    the [`Partitioner`], which may copy it to several partitions (duplication). The
 //!    routing is block-oriented: contiguous chunks go through the partitioner's
 //!    `assign_s_block`/`assign_t_block` (RecPart's compiled split-tree router,
-//!    closed-form cell arithmetic for the baselines) — never one dynamic-dispatch
-//!    call per tuple.
-//! 2. **Shuffle**: per-partition input lists are materialized; the total number of
-//!    assignments is the paper's total input `I`.
-//! 3. **Reduce / local joins**: each partition's band-join is computed with the
-//!    configured [`LocalJoinAlgorithm`]; partitions are mapped onto the `w` workers with
-//!    a longest-processing-time-first heuristic, modelling the dynamic load balancing a
+//!    closed-form cell arithmetic for the baselines), never one dynamic-dispatch call
+//!    per tuple. The per-partition index arenas hold the paper's total input `I`. A
+//!    run handed the arenas of an earlier shuffle skips this phase and reports
+//!    `map_shuffle_wall_seconds = 0`.
+//! 2. **Reduce under a schedule**: each partition's band-join runs with the
+//!    configured [`LocalJoinAlgorithm`]. A [`ShardPlan`] groups the partitions into
+//!    contiguous shards: one shard per partition (partition-parallel), `N` shards that
+//!    each join their partitions sequentially while shards run concurrently, or `N`
+//!    shards under the supervisor of [`crate::supervise`]. One order-preserving merge
+//!    puts the outcomes back in partition order, so every schedule yields the same
+//!    report.
+//! 3. **Assemble**: partitions are mapped onto the `w` workers with a
+//!    longest-processing-time-first heuristic, modelling the dynamic load balancing a
 //!    YARN/Spark scheduler performs at runtime (identically for every strategy, so
-//!    comparisons remain fair).
-//! 4. **Reporting**: per-worker input/output/comparison counts, the derived
-//!    [`PartitioningStats`] (`I`, `I_m`, `O_m`, `L_m`, overheads vs. lower bounds), the
-//!    simulated wall-clock join time from the [`MachineModel`], and optional correctness
-//!    verification against an exact single-node join.
+//!    comparisons remain fair). The report holds per-worker input/output/comparison
+//!    counts, the derived [`PartitioningStats`] (`I`, `I_m`, `O_m`, `L_m`, overheads
+//!    vs. lower bounds), the simulated join time from the [`MachineModel`], and
+//!    optional verification against an exact single-node join.
+//!
+//! The public entry points are thin wrappers over that one run:
+//! [`Executor::execute`] shuffles and reduces partition-parallel,
+//! [`Executor::execute_prepared`] reduces given arenas, [`Executor::execute_sharded`]
+//! reduces in `N` shards, and [`Executor::execute_supervised`] reduces in `N`
+//! supervised shards. [`crate::serve::BandJoinService`] calls the run directly.
 //!
 //! Every phase — map/shuffle (see [`crate::shuffle`]), the local joins, and the exact
 //! verification join (see [`crate::verify`]) — honours [`ExecutorConfig::threads`] and
@@ -30,11 +42,13 @@
 //! [`ExecutionReport::local_join_wall_seconds`],
 //! [`ExecutionReport::verify_wall_seconds`]).
 
+use crate::faults::FaultPlan;
 use crate::local_join::LocalJoinAlgorithm;
 use crate::machine::{MachineModel, WorkerWork};
 use crate::metrics::ShardStats;
-use crate::parallel::{chunk_ranges, Parallelism};
+use crate::parallel::Parallelism;
 use crate::shuffle::{shuffle, PartitionedIndex, ShuffleConfig, ShuffledInputs};
+use crate::supervise::{SuperviseError, SupervisedExecution, Supervisor, SupervisorConfig};
 use crate::verify::{
     check_pairs_against, exact_join_count_on, exact_join_pairs_on, ExactJoinIndex, PairCheck,
 };
@@ -234,15 +248,17 @@ impl ExecutionReport {
     }
 }
 
-/// What one partition's local join produces: measured load, materialized pairs (empty
-/// unless pair verification is on), and wall-clock seconds.
-pub(crate) type PartitionJoinOutcome = (PartitionLoad, Vec<(u32, u32)>, f64);
+/// Joined `(s, t)` index pairs.
+pub(crate) type Pairs = Vec<(u32, u32)>;
 
-/// Everything produced by the local-join phase.
+/// What one partition's local join produces: measured load, materialized pairs (empty
+/// unless pairs are materialized), and wall-clock seconds.
+pub(crate) type PartitionJoinOutcome = (PartitionLoad, Pairs, f64);
+
+/// Everything the local-join phase measured, in partition order.
 pub(crate) struct LocalJoinPhase {
     pub(crate) per_partition: Vec<PartitionLoad>,
     pub(crate) per_partition_wall_seconds: Vec<f64>,
-    pub(crate) all_pairs: Option<Vec<(u32, u32)>>,
     pub(crate) wall_seconds: f64,
     pub(crate) threads_used: usize,
 }
@@ -270,14 +286,23 @@ pub struct ShardPlan {
 }
 
 impl ShardPlan {
-    /// Split `num_partitions` partitions into `shards` contiguous, disjoint,
-    /// covering ranges (sizes differ by at most one). Shards beyond the partition
-    /// count are dropped rather than left empty.
+    /// Split `num_partitions` partitions into `min(shards, num_partitions)`
+    /// contiguous, disjoint, covering ranges whose sizes differ by at most one:
+    /// the first `num_partitions % shards` shards take one extra partition.
+    /// Shards beyond the partition count are dropped rather than left empty.
     pub fn contiguous(num_partitions: usize, shards: usize) -> Self {
         assert!(shards > 0, "need at least one shard");
-        ShardPlan {
-            ranges: chunk_ranges(num_partitions, shards.min(num_partitions.max(1))),
-        }
+        let shards = shards.min(num_partitions);
+        let mut lo = 0;
+        let ranges = (0..shards)
+            .map(|i| {
+                let hi = lo + num_partitions / shards + usize::from(i < num_partitions % shards);
+                let range = (lo, hi);
+                lo = hi;
+                range
+            })
+            .collect();
+        ShardPlan { ranges }
     }
 
     /// Number of shards in the plan.
@@ -291,19 +316,41 @@ impl ShardPlan {
     }
 }
 
-/// The result of a sharded execution: the merged [`ExecutionReport`] (bit-identical
-/// to the unsharded `execute` — same per-partition loads, stats, and pair checks)
-/// plus the per-shard measurements the unsharded path has no notion of.
-#[derive(Debug, Clone)]
-pub struct ShardedExecution {
-    /// The merged report, indistinguishable from an unsharded run.
-    pub report: ExecutionReport,
-    /// Per-shard ownership and measurements, in shard (= partition) order.
-    pub shard_stats: Vec<ShardStats>,
-    /// Simulated join time when each shard pays its own per-process job overhead
-    /// (see [`MachineModel::sharded_join_seconds`]); the report's
-    /// `simulated_join_seconds` keeps the single-job model for comparability.
-    pub simulated_sharded_seconds: f64,
+/// The result of [`Executor::execute_sharded`]: the same struct a supervised run
+/// returns, with no failed shards and zero recovery counters.
+pub type ShardedExecution = SupervisedExecution;
+
+/// Where a run's per-partition arenas come from.
+#[derive(Clone, Copy)]
+pub(crate) enum Arenas<'a> {
+    /// Route both relations through the partitioner now.
+    Shuffle,
+    /// The S and T arenas an earlier shuffle built under the same partitioner.
+    Given(&'a PartitionedIndex, &'a PartitionedIndex),
+}
+
+/// How a run schedules its reduce phase.
+pub(crate) enum Schedule<'a> {
+    /// One shard per partition, dynamically scheduled on the executor's rayon
+    /// context.
+    PartitionParallel,
+    /// `n` contiguous shards, each joining its partitions sequentially while the
+    /// shards run concurrently.
+    Shards(usize),
+    /// `n` shards under the supervisor, with faults injected per the plan.
+    Supervised(usize, &'a FaultPlan, &'a SupervisorConfig),
+}
+
+/// What one run hands back.
+pub(crate) struct Run {
+    /// The execution, or the supervised phase that exhausted its retry budget.
+    pub(crate) execution: Result<SupervisedExecution, SuperviseError>,
+    /// The joined pairs, when the run was asked for them and did not fail (on a
+    /// degraded run, only the surviving shards' pairs).
+    pub(crate) pairs: Option<Pairs>,
+    /// The arenas this run shuffled; `None` when it was given arenas or its
+    /// shuffle failed.
+    pub(crate) shuffled: Option<ShuffledInputs>,
 }
 
 /// The simulated-cluster executor.
@@ -387,27 +434,6 @@ impl Executor {
         )
     }
 
-    /// [`Executor::map_shuffle`] with fault injection: used by the supervised
-    /// path, which retries the whole (pure, idempotent) shuffle on failure.
-    pub(crate) fn try_map_shuffle_faulted<P: Partitioner + ?Sized>(
-        &self,
-        partitioner: &P,
-        s: &Relation,
-        t: &Relation,
-        faults: &crate::faults::FaultContext<'_>,
-    ) -> Result<ShuffledInputs, crate::shuffle::ShuffleError> {
-        let num_partitions = partitioner.num_partitions().max(1);
-        crate::shuffle::try_shuffle(
-            partitioner,
-            s,
-            t,
-            num_partitions,
-            &self.parallelism(),
-            &self.shuffle_config,
-            Some(faults),
-        )
-    }
-
     /// Execute the band-join of `s` and `t` under `partitioner` and measure everything.
     pub fn execute<P: Partitioner + ?Sized>(
         &self,
@@ -416,30 +442,15 @@ impl Executor {
         t: &Relation,
         band: &BandCondition,
     ) -> ExecutionReport {
-        let num_partitions = partitioner.num_partitions().max(1);
-
-        // --- Map & shuffle: materialize per-partition input index lists. ---
-        let ShuffledInputs {
-            s_parts,
-            t_parts,
-            wall_seconds: map_shuffle_wall_seconds,
-        } = self.map_shuffle(partitioner, s, t);
-
-        // --- Reduce: local joins per partition (rayon-parallel). ---
-        let materialize = self.config.verification == VerificationLevel::FullPairs;
-        let local = self.run_local_joins(s, t, band, &s_parts, &t_parts, materialize);
-
-        self.assemble_report(
+        self.run_unsupervised(
             partitioner,
             s,
             t,
             band,
-            num_partitions,
-            map_shuffle_wall_seconds,
-            local,
-            false,
-            None,
+            Arenas::Shuffle,
+            Schedule::PartitionParallel,
         )
+        .report
     }
 
     /// Execute only the reduce phase — per-partition local joins, worker mapping,
@@ -447,12 +458,10 @@ impl Executor {
     /// plan-cached service ([`crate::serve`]), where optimize/compile/shuffle ran
     /// once and every subsequent query reuses the arenas.
     ///
-    /// Every per-partition computation is [`Executor::join_partition`] — the same
-    /// code `execute` runs — and everything downstream is the shared
-    /// [`Executor::assemble_report`], so the result is bit-identical by
-    /// construction to a fresh [`Executor::execute`] with the same partitioner
-    /// (only the wall-clock measurements differ; `map_shuffle_wall_seconds` is
-    /// reported as 0 because no shuffle ran).
+    /// This is [`Executor::execute`]'s pipeline with the shuffle replaced by the
+    /// given arenas, so the result is bit-identical by construction to a fresh
+    /// `execute` with the same partitioner (only the wall-clock measurements
+    /// differ; `map_shuffle_wall_seconds` is reported as 0 because no shuffle ran).
     ///
     /// `band` may be *narrower* (per-dimension ε ≤) than the band the partitioner
     /// and arenas were built for: every pair matching the narrower band also
@@ -471,25 +480,15 @@ impl Executor {
         s_parts: &PartitionedIndex,
         t_parts: &PartitionedIndex,
     ) -> ExecutionReport {
-        let num_partitions = partitioner.num_partitions().max(1);
-        assert_eq!(
-            s_parts.num_partitions(),
-            num_partitions,
-            "pre-shuffled arenas were built for a different partitioning"
-        );
-        let materialize = self.config.verification == VerificationLevel::FullPairs;
-        let local = self.run_local_joins(s, t, band, s_parts, t_parts, materialize);
-        self.assemble_report(
+        self.run_unsupervised(
             partitioner,
             s,
             t,
             band,
-            num_partitions,
-            0.0,
-            local,
-            false,
-            None,
+            Arenas::Given(s_parts, t_parts),
+            Schedule::PartitionParallel,
         )
+        .report
     }
 
     /// Execute the band-join with shared-nothing shard workers: the partition space
@@ -508,119 +507,210 @@ impl Executor {
         band: &BandCondition,
         shards: usize,
     ) -> ShardedExecution {
-        let num_partitions = partitioner.num_partitions().max(1);
-        let plan = ShardPlan::contiguous(num_partitions, shards);
+        self.run_unsupervised(
+            partitioner,
+            s,
+            t,
+            band,
+            Arenas::Shuffle,
+            Schedule::Shards(shards),
+        )
+    }
 
-        // --- Map & shuffle: one global (possibly spill-backed) arena per side;
-        // shards will own disjoint contiguous partition ranges of it. ---
-        let ShuffledInputs {
-            s_parts,
-            t_parts,
-            wall_seconds: map_shuffle_wall_seconds,
-        } = self.map_shuffle(partitioner, s, t);
+    /// [`Executor::run`] without a supervisor, which cannot fail.
+    fn run_unsupervised<P: Partitioner + ?Sized>(
+        &self,
+        partitioner: &P,
+        s: &Relation,
+        t: &Relation,
+        band: &BandCondition,
+        arenas: Arenas<'_>,
+        schedule: Schedule<'_>,
+    ) -> SupervisedExecution {
+        self.run(partitioner, s, t, band, arenas, schedule, false, None)
+            .execution
+            .unwrap_or_else(|e| unreachable!("only a supervised run can fail: {e}"))
+    }
 
-        // --- Reduce: one sequential worker per shard, shards concurrent. ---
-        let materialize = self.config.verification == VerificationLevel::FullPairs;
-        let join_shard = |shard: usize| -> (Vec<PartitionJoinOutcome>, f64) {
-            let start = Instant::now();
-            let (lo, hi) = plan.partition_range(shard);
-            let outcomes = (lo..hi)
-                .map(|p| self.join_partition(s, t, band, &s_parts, &t_parts, materialize, p))
-                .collect();
-            (outcomes, start.elapsed().as_secs_f64())
+    /// The one pipeline behind every entry point: shuffle (or take `arenas`),
+    /// reduce under `schedule`, merge the shard outcomes in partition order, then
+    /// assemble and verify the report.
+    ///
+    /// `want_pairs` asks for the joined pairs back. `exact_index` is a cache slot
+    /// for the exact-join index over `s` and `t`: a verified, non-degraded report
+    /// builds the index into an empty slot and sweeps it, and the build lands in
+    /// `verify_wall_seconds`. `None` verifies with a transient one-call index.
+    ///
+    /// # Panics
+    /// Panics if given arenas' partition count does not match the partitioner's.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn run<P: Partitioner + ?Sized>(
+        &self,
+        partitioner: &P,
+        s: &Relation,
+        t: &Relation,
+        band: &BandCondition,
+        arenas: Arenas<'_>,
+        schedule: Schedule<'_>,
+        want_pairs: bool,
+        exact_index: Option<&mut Option<ExactJoinIndex>>,
+    ) -> Run {
+        let failed_run = |execution: SuperviseError, shuffled| Run {
+            execution: Err(execution),
+            pairs: None,
+            shuffled,
         };
-        let phase_start = Instant::now();
-        let par = self.parallelism();
-        let (shard_results, threads_used) = match par {
-            Parallelism::Sequential => (
-                (0..plan.num_shards()).map(join_shard).collect::<Vec<_>>(),
-                1,
-            ),
-            _ => {
-                let threads = par.threads().clamp(1, plan.num_shards().max(1));
-                let results: Vec<(Vec<PartitionJoinOutcome>, f64)> = par.run(|| {
-                    (0..plan.num_shards())
-                        .into_par_iter()
-                        .map(join_shard)
-                        .collect()
-                });
-                (results, threads)
+        let num_partitions = partitioner.num_partitions().max(1);
+        let (shards, mut supervisor) = match schedule {
+            Schedule::PartitionParallel => (num_partitions, None),
+            Schedule::Shards(shards) => (shards, None),
+            Schedule::Supervised(shards, faults, sup) => {
+                (shards, Some(Supervisor::new(faults, sup)))
             }
         };
-        let wall_seconds = phase_start.elapsed().as_secs_f64();
 
-        // --- Order-preserving merge: shard order == partition order, so the merged
-        // phase is indistinguishable from the unsharded collect. ---
-        let shard_outcomes = shard_results
-            .into_iter()
-            .map(|(outcomes, shard_wall)| ShardOutcome {
-                outcomes: Some(outcomes),
-                wall_seconds: shard_wall,
-                attempts: 1,
-                recovery_wall_seconds: 0.0,
-            })
-            .collect();
-        let (local, shard_stats) = merge_shard_outcomes(
+        // --- Map & shuffle, or the given arenas. ---
+        let shuffled = match (arenas, supervisor.as_mut()) {
+            (Arenas::Given(..), _) => None,
+            (Arenas::Shuffle, None) => Some(self.map_shuffle(partitioner, s, t)),
+            (Arenas::Shuffle, Some(sv)) => match sv.shuffle(self, partitioner, s, t) {
+                Ok(shuffled) => Some(shuffled),
+                Err(e) => return failed_run(e, None),
+            },
+        };
+        let (s_parts, t_parts, map_shuffle_wall_seconds) = match (&shuffled, arenas) {
+            (Some(sh), _) => (&sh.s_parts, &sh.t_parts, sh.wall_seconds),
+            (None, Arenas::Given(s_parts, t_parts)) => (s_parts, t_parts, 0.0),
+            (None, Arenas::Shuffle) => unreachable!("the shuffle ran above"),
+        };
+        assert_eq!(
+            s_parts.num_partitions(),
+            num_partitions,
+            "pre-shuffled arenas were built for a different partitioning"
+        );
+
+        // --- Reduce: shards in partition order, merged back in that order. ---
+        let plan = ShardPlan::contiguous(num_partitions, shards);
+        let materialize = want_pairs || self.config.verification == VerificationLevel::FullPairs;
+        let (outcomes, failed, wall_seconds, threads_used) = match supervisor.as_mut() {
+            None => {
+                let (outcomes, wall_seconds, threads_used) =
+                    self.join_shards(s, t, band, s_parts, t_parts, &plan, materialize);
+                (outcomes, Vec::new(), wall_seconds, threads_used)
+            }
+            Some(sv) => {
+                match sv.join_shards(self, s, t, band, s_parts, t_parts, &plan, materialize) {
+                    Ok((outcomes, failed, wall_seconds)) => {
+                        (outcomes, failed, wall_seconds, plan.num_shards())
+                    }
+                    Err(e) => return failed_run(e, shuffled),
+                }
+            }
+        };
+        let (local, shard_stats, pairs) = merge_shard_outcomes(
             &plan,
-            &s_parts,
-            &t_parts,
-            shard_outcomes,
+            s_parts,
+            t_parts,
+            outcomes,
             materialize,
             wall_seconds,
             threads_used,
         );
 
+        // --- Assemble and verify. ---
         let report = self.assemble_report(
             partitioner,
             s,
             t,
             band,
-            num_partitions,
             map_shuffle_wall_seconds,
             local,
-            false,
-            None,
+            pairs.as_deref(),
+            !failed.is_empty(),
+            exact_index,
         );
         let simulated_sharded_seconds = self.config.machine.sharded_join_seconds(
             report.stats.total_input,
             &report.per_worker_work,
             plan.num_shards(),
         );
-        ShardedExecution {
-            report,
-            shard_stats,
-            simulated_sharded_seconds,
+        Run {
+            execution: Ok(SupervisedExecution {
+                report,
+                shard_stats,
+                simulated_sharded_seconds,
+                failed,
+                recovery: supervisor.map(Supervisor::finish).unwrap_or_default(),
+            }),
+            pairs: pairs.filter(|_| want_pairs),
+            shuffled,
         }
     }
 
-    /// Everything downstream of the local joins — worker mapping, per-worker
-    /// aggregation, stats, the simulated timing model, and verification — shared
-    /// verbatim by [`Executor::execute`] and [`Executor::execute_sharded`] so the
-    /// two paths cannot drift apart.
-    /// `degraded` marks a partial report (failed shards' partitions carry
-    /// default loads): stats are computed over what survived, and verification
-    /// is skipped — an exact-join comparison against missing work would flag
-    /// the degradation as incorrectness.
-    /// `exact_index` is a cached [`ExactJoinIndex`] over exactly `s` and `t`
-    /// (the serving tier keeps one per dataset generation); `None` verifies
-    /// with a transient one-call index.
+    /// The unsupervised reduce: each shard joins its partitions sequentially and
+    /// the shards run concurrently on the executor's rayon context (dynamically
+    /// scheduled, so heavy shards do not serialize behind a static chunking).
+    /// Returns the outcomes in shard order, the phase wall-clock, and the number
+    /// of threads the phase ran on.
     #[allow(clippy::too_many_arguments)]
-    pub(crate) fn assemble_report<P: Partitioner + ?Sized>(
+    fn join_shards(
+        &self,
+        s: &Relation,
+        t: &Relation,
+        band: &BandCondition,
+        s_parts: &PartitionedIndex,
+        t_parts: &PartitionedIndex,
+        plan: &ShardPlan,
+        materialize: bool,
+    ) -> (Vec<ShardOutcome>, f64, usize) {
+        let join_shard = |shard: usize| {
+            let start = Instant::now();
+            let range = plan.partition_range(shard);
+            let outcomes = self.join_partitions(s, t, band, s_parts, t_parts, materialize, range);
+            ShardOutcome {
+                outcomes: Some(outcomes),
+                wall_seconds: start.elapsed().as_secs_f64(),
+                attempts: 1,
+                recovery_wall_seconds: 0.0,
+            }
+        };
+        let phase_start = Instant::now();
+        let par = self.parallelism();
+        let shards = plan.num_shards();
+        let (outcomes, threads_used) = match par {
+            Parallelism::Sequential => ((0..shards).map(join_shard).collect(), 1),
+            _ => (
+                par.run(|| (0..shards).into_par_iter().map(join_shard).collect()),
+                par.threads().clamp(1, shards.max(1)),
+            ),
+        };
+        (outcomes, phase_start.elapsed().as_secs_f64(), threads_used)
+    }
+
+    /// Everything downstream of the local joins — worker mapping, per-worker
+    /// aggregation, stats, the simulated timing model, and verification.
+    /// `pairs` are the materialized pairs (required under
+    /// [`VerificationLevel::FullPairs`]). `degraded` marks a partial report
+    /// (failed shards' partitions carry default loads): stats are computed over
+    /// what survived, and verification is skipped — an exact-join comparison
+    /// against missing work would flag the degradation as incorrectness.
+    /// `exact_index` is described on [`Executor::run`].
+    #[allow(clippy::too_many_arguments)]
+    fn assemble_report<P: Partitioner + ?Sized>(
         &self,
         partitioner: &P,
         s: &Relation,
         t: &Relation,
         band: &BandCondition,
-        num_partitions: usize,
         map_shuffle_wall_seconds: f64,
         local: LocalJoinPhase,
+        pairs: Option<&[(u32, u32)]>,
         degraded: bool,
-        exact_index: Option<&ExactJoinIndex>,
+        exact_index: Option<&mut Option<ExactJoinIndex>>,
     ) -> ExecutionReport {
         let LocalJoinPhase {
             per_partition,
             per_partition_wall_seconds,
-            all_pairs,
             wall_seconds: local_join_wall_seconds,
             threads_used,
         } = local;
@@ -682,25 +772,31 @@ impl Executor {
         } else {
             self.config.verification
         };
+        let index = match exact_index {
+            Some(slot) if verification != VerificationLevel::None => {
+                Some(&*slot.get_or_insert_with(|| ExactJoinIndex::build(s, t)))
+            }
+            _ => None,
+        };
         let (exact_output, correct, pair_check) = match verification {
             VerificationLevel::None => (None, None, None),
             VerificationLevel::Count => {
-                let exact = par.run(|| match exact_index {
+                let exact = par.run(|| match index {
                     Some(index) => index.count_on(s, t, band, pieces),
                     None => exact_join_count_on(s, t, band, pieces),
                 });
                 (Some(exact), Some(exact == output_count), None)
             }
             VerificationLevel::FullPairs => {
-                let pairs = all_pairs.expect("pairs were materialized");
+                let pairs = pairs.expect("pairs were materialized");
                 // One exact join serves both the pair-level check and the exact
                 // output count (the exact result never contains duplicates).
                 let (check, exact) = par.run(|| {
-                    let exact_pairs = match exact_index {
+                    let exact_pairs = match index {
                         Some(index) => index.pairs_on(s, t, band, pieces),
                         None => exact_join_pairs_on(s, t, band, pieces),
                     };
-                    let check = check_pairs_against(&exact_pairs, &pairs);
+                    let check = check_pairs_against(&exact_pairs, pairs);
                     (check, exact_pairs.len() as u64)
                 });
                 (Some(exact), Some(check.is_correct()), Some(check))
@@ -715,7 +811,7 @@ impl Executor {
         ExecutionReport {
             strategy: partitioner.name().to_string(),
             stats,
-            partitions: num_partitions,
+            partitions: per_partition.len(),
             per_partition,
             partition_to_worker,
             per_worker_work,
@@ -734,67 +830,12 @@ impl Executor {
         }
     }
 
-    /// Run the local joins of all partitions, optionally materializing output pairs.
-    ///
-    /// With `config.threads == 1` this is a plain sequential loop; otherwise the
-    /// partitions are joined on a rayon pool (dynamically scheduled, so heavy
-    /// partitions do not serialize behind a static chunking). Both paths visit
-    /// partitions with the same per-partition computation and collect results in
-    /// partition order, so the produced loads and pairs are identical — only the
-    /// wall-clock measurements differ.
-    pub(crate) fn run_local_joins(
-        &self,
-        s: &Relation,
-        t: &Relation,
-        band: &BandCondition,
-        s_parts: &PartitionedIndex,
-        t_parts: &PartitionedIndex,
-        materialize: bool,
-    ) -> LocalJoinPhase {
-        let num_partitions = s_parts.num_partitions();
-
-        let join_one = |p: usize| self.join_partition(s, t, band, s_parts, t_parts, materialize, p);
-
-        let phase_start = Instant::now();
-        let par = self.parallelism();
-        let (results, threads_used) = match par {
-            Parallelism::Sequential => ((0..num_partitions).map(join_one).collect::<Vec<_>>(), 1),
-            _ => {
-                let threads = par.threads().clamp(1, num_partitions.max(1));
-                let results: Vec<PartitionJoinOutcome> =
-                    par.run(|| (0..num_partitions).into_par_iter().map(join_one).collect());
-                (results, threads)
-            }
-        };
-        let wall_seconds = phase_start.elapsed().as_secs_f64();
-
-        let mut per_partition = Vec::with_capacity(num_partitions);
-        let mut per_partition_wall_seconds = Vec::with_capacity(num_partitions);
-        let mut all_pairs = materialize.then(Vec::new);
-        for (load, pairs, seconds) in results {
-            per_partition.push(load);
-            per_partition_wall_seconds.push(seconds);
-            if let Some(all) = all_pairs.as_mut() {
-                all.extend(pairs);
-            }
-        }
-        LocalJoinPhase {
-            per_partition,
-            per_partition_wall_seconds,
-            all_pairs,
-            wall_seconds,
-            threads_used,
-        }
-    }
-
-    /// One partition's local join: the single per-partition computation both the
-    /// partition-parallel ([`Executor::run_local_joins`]) and the shard-sequential
-    /// ([`Executor::execute_sharded`]) reduce phases invoke — one implementation,
-    /// so the two execution shapes agree bit for bit by construction. The join
-    /// inherits the process-wide active [`recpart::JoinKernel`], so `execute`,
-    /// `execute_sharded`, and `execute_supervised` all vectorize together.
+    /// The local joins of the partitions `[lo, hi)`, in order: the single
+    /// per-partition computation every schedule (partition-parallel, sharded,
+    /// supervised) invokes, so they agree bit for bit by construction. The join
+    /// inherits the process-wide active [`recpart::JoinKernel`].
     #[allow(clippy::too_many_arguments)]
-    pub(crate) fn join_partition(
+    pub(crate) fn join_partitions(
         &self,
         s: &Relation,
         t: &Relation,
@@ -802,25 +843,29 @@ impl Executor {
         s_parts: &PartitionedIndex,
         t_parts: &PartitionedIndex,
         materialize: bool,
-        p: usize,
-    ) -> PartitionJoinOutcome {
-        let start = Instant::now();
-        let mut pairs = Vec::new();
-        let result = self.config.local_algorithm.join(
-            s,
-            t,
-            s_parts.part(p),
-            t_parts.part(p),
-            band,
-            materialize.then_some(&mut pairs),
-        );
-        let load = PartitionLoad {
-            s_input: s_parts.part(p).len() as u64,
-            t_input: t_parts.part(p).len() as u64,
-            output: result.output,
-            comparisons: result.comparisons,
-        };
-        (load, pairs, start.elapsed().as_secs_f64())
+        (lo, hi): (usize, usize),
+    ) -> Vec<PartitionJoinOutcome> {
+        (lo..hi)
+            .map(|p| {
+                let start = Instant::now();
+                let mut pairs = Vec::new();
+                let result = self.config.local_algorithm.join(
+                    s,
+                    t,
+                    s_parts.part(p),
+                    t_parts.part(p),
+                    band,
+                    materialize.then_some(&mut pairs),
+                );
+                let load = PartitionLoad {
+                    s_input: s_parts.part(p).len() as u64,
+                    t_input: t_parts.part(p).len() as u64,
+                    output: result.output,
+                    comparisons: result.comparisons,
+                };
+                (load, pairs, start.elapsed().as_secs_f64())
+            })
+            .collect()
     }
 
     /// Map partitions onto workers: identity when there are at most `w` partitions,
@@ -905,13 +950,12 @@ impl Executor {
 }
 
 /// The order-preserving merge of per-shard join outcomes into one
-/// [`LocalJoinPhase`] plus per-shard accounting — shared verbatim by
-/// [`Executor::execute_sharded`] and the supervised path
-/// (`Executor::execute_supervised`), so a recovered supervised run cannot
-/// drift from the fault-free merge.
+/// [`LocalJoinPhase`], per-shard accounting, and the materialized pairs — the
+/// one merge every schedule runs, so a recovered supervised run cannot drift
+/// from the fault-free one.
 ///
 /// Shard order equals partition order, so concatenating outcomes reproduces the
-/// unsharded collect exactly. A failed shard (`outcomes: None`) contributes
+/// partition order exactly. A failed shard (`outcomes: None`) contributes
 /// default (zero) loads for every partition in its range; its assignment counts
 /// are still reported truthfully from the shuffled arena (which exists whether
 /// or not the join ran), so assignment conservation holds across *all* shards
@@ -926,7 +970,7 @@ pub(crate) fn merge_shard_outcomes(
     materialize: bool,
     phase_wall_seconds: f64,
     threads_used: usize,
-) -> (LocalJoinPhase, Vec<ShardStats>) {
+) -> (LocalJoinPhase, Vec<ShardStats>, Option<Pairs>) {
     let num_partitions = s_parts.num_partitions();
     let mut per_partition = Vec::with_capacity(num_partitions);
     let mut per_partition_wall_seconds = Vec::with_capacity(num_partitions);
@@ -975,11 +1019,10 @@ pub(crate) fn merge_shard_outcomes(
     let local = LocalJoinPhase {
         per_partition,
         per_partition_wall_seconds,
-        all_pairs,
         wall_seconds: phase_wall_seconds,
         threads_used,
     };
-    (local, shard_stats)
+    (local, shard_stats, all_pairs)
 }
 
 #[cfg(test)]
@@ -1248,6 +1291,36 @@ mod tests {
         let exec = Executor::with_workers(2);
         let report = exec.execute(&SinglePartition, &s, &t, &band);
         assert!(report.total_comparisons >= report.stats.output_len);
+    }
+
+    /// `contiguous(n, k)` yields `min(k, n)` covering, disjoint, contiguous
+    /// shards whose sizes differ by at most one (the larger ones first).
+    #[test]
+    fn contiguous_shards_cover_evenly() {
+        for n in 0..=40usize {
+            for k in 1..=12usize {
+                let plan = ShardPlan::contiguous(n, k);
+                assert_eq!(plan.num_shards(), k.min(n), "n={n} k={k}: shard count");
+                let mut next = 0;
+                let mut sizes = Vec::new();
+                for shard in 0..plan.num_shards() {
+                    let (lo, hi) = plan.partition_range(shard);
+                    assert_eq!(lo, next, "n={n} k={k}: shard {shard} is contiguous");
+                    assert!(hi > lo, "n={n} k={k}: shard {shard} is empty");
+                    sizes.push(hi - lo);
+                    next = hi;
+                }
+                assert_eq!(next, n, "n={n} k={k}: coverage");
+                if let (Some(max), Some(min)) = (sizes.iter().max(), sizes.iter().min()) {
+                    assert!(max - min <= 1, "n={n} k={k}: sizes {sizes:?}");
+                }
+                assert!(sizes.windows(2).all(|w| w[0] >= w[1]), "n={n} k={k}");
+            }
+        }
+        // The cases the ceiling-chunked split got wrong.
+        assert_eq!(ShardPlan::contiguous(10, 6).num_shards(), 6);
+        assert_eq!(ShardPlan::contiguous(5, 4).num_shards(), 4);
+        assert_eq!(ShardPlan::contiguous(10, 4).partition_range(3), (8, 10));
     }
 
     #[test]

@@ -8,38 +8,40 @@
 //!   ε-ranges as used in the paper's reducers, a sort-merge sweep, and a nested-loop
 //!   reference), all of which also report the number of candidate comparisons they
 //!   performed;
-//! * [`executor`] — the map–shuffle–reduce pipeline: routes every tuple through a
-//!   [`recpart::Partitioner`], materializes per-partition inputs, maps partitions onto
-//!   workers (modelling the dynamic scheduler with a longest-processing-time heuristic),
-//!   runs the local joins, and reports the paper's success measures (`I`, `I_m`, `O_m`,
-//!   `L_m`, overheads vs. lower bounds). Every phase — map/shuffle ([`shuffle`]),
+//! * [`executor`] — the map–shuffle–reduce pipeline, one run behind every entry point:
+//!   shuffle every tuple through a [`recpart::Partitioner`] (or take the arenas of an
+//!   earlier shuffle), run the local joins under a schedule (partition-parallel, `N`
+//!   shared-nothing shards over contiguous partition ranges, or `N` shards under the
+//!   supervisor), merge them back in partition order, map partitions onto workers
+//!   (modelling the dynamic scheduler with a longest-processing-time heuristic), and
+//!   report the paper's success measures (`I`, `I_m`, `O_m`, `L_m`, overheads vs.
+//!   lower bounds). Every schedule yields the same report. Every phase — map/shuffle,
 //!   local joins, verification — is rayon-parallel under one `threads` knob and
 //!   reports its own measured wall-clock;
 //! * [`shuffle`] — the chunked parallel tuple-routing fan-out whose merged
 //!   per-partition index lists are bit-identical to sequential routing; its
 //!   [`ShuffleConfig`] adds the out-of-core scale tier (bounded streaming chunks,
-//!   mmap-backed spill arenas), and `Executor::execute_sharded` runs the reduce
-//!   phase as shared-nothing shards over contiguous partition ranges (per-shard
-//!   accounting in [`metrics`]) — both bit-identical to the in-memory path;
+//!   mmap-backed spill arenas); per-shard accounting lives in [`metrics`];
 //! * [`cost_model`] — the running-time model `M(I, I_m, O_m) = β₀ + β₁I + β₂I_m + β₃O_m`
-//!   of Li et al. [24], with least-squares fitting over a calibration benchmark;
+//!   of Li et al. \[24\], with least-squares fitting over a calibration benchmark;
 //! * [`machine`] — the synthetic "ground truth" cluster timing model used in place of
 //!   real wall-clock measurements (shuffle + per-worker scan/compare/emit costs), which
 //!   the linear cost model is fitted against;
 //! * [`verify`] — exact single-node joins and duplicate/missing-pair checks used to
 //!   validate the exactly-once property of every partitioner;
 //! * [`faults`] / [`supervise`] — deterministic seeded fault injection (panics,
-//!   I/O errors, stragglers at every pipeline stage) and the supervision layer
-//!   around sharded execution: `catch_unwind` worker isolation, retry with capped
+//!   I/O errors, stragglers at every pipeline stage) and the supervised schedule of
+//!   the executor's run: `catch_unwind` worker isolation, retry with capped
 //!   exponential backoff, deadline-triggered speculation, and graceful
 //!   degradation into partial reports with structured per-shard errors;
 //! * [`plan_cache`] / [`serve`] — the query-serving tier: a long-running
-//!   [`BandJoinService`](serve::BandJoinService) loads the dataset once and
-//!   answers a stream of band-join queries from a [`PlanCache`](plan_cache::PlanCache)
-//!   of compiled partitionings plus their shuffled CSR arenas (LRU by arena
-//!   bytes, keyed on dataset generations + band + worker count, with
-//!   band-subsumption reuse) — warm queries skip optimize/compile/shuffle and
-//!   run only the reduce phase, bit-identical to a one-shot execution.
+//!   [`BandJoinService`] loads the dataset once and answers a stream of band-join
+//!   queries from a [`PlanCache`] of compiled partitionings plus their shuffled CSR
+//!   arenas (LRU by arena bytes, keyed on dataset generations + band + worker count,
+//!   with band-subsumption reuse). A cold query runs the executor's pipeline with a
+//!   fresh shuffle and caches the arenas it hands back; a warm query runs the same
+//!   pipeline over the cached arenas, so it skips optimize/compile/shuffle and stays
+//!   bit-identical to a one-shot execution.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

@@ -86,6 +86,19 @@ pub struct RecoveryCounters {
     pub merge_retries: u64,
 }
 
+impl std::ops::AddAssign for RecoveryCounters {
+    fn add_assign(&mut self, other: RecoveryCounters) {
+        self.injected_panics += other.injected_panics;
+        self.injected_io_errors += other.injected_io_errors;
+        self.injected_delays += other.injected_delays;
+        self.shuffle_retries += other.shuffle_retries;
+        self.shard_retries += other.shard_retries;
+        self.speculative_launches += other.speculative_launches;
+        self.speculative_wins += other.speculative_wins;
+        self.merge_retries += other.merge_retries;
+    }
+}
+
 /// The peak resident-set size (high-water mark) of this process in bytes, read
 /// from `VmHWM` in `/proc/self/status`. Returns `None` where procfs is absent
 /// (non-Linux) or unparsable — callers must treat the probe as best-effort

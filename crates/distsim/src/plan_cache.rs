@@ -3,9 +3,9 @@
 //! evicted least-recently-used under an arena-byte capacity.
 //!
 //! A cached plan is everything the pipeline's expensive front half produces —
-//! the optimized [`SplitTreePartitioner`] (which owns the compiled router), the
-//! two [`PartitionedIndex`] arenas the counting shuffle materialized, and the
-//! worker mapping of the build run. A cache hit therefore skips
+//! the optimized [`SplitTreePartitioner`] (which owns the compiled router and
+//! the band it was built for) and the two [`PartitionedIndex`] arenas the
+//! counting shuffle materialized. A cache hit therefore skips
 //! optimize/compile/shuffle entirely and pays only the per-partition joins.
 //!
 //! Two lookup modes:
@@ -77,22 +77,15 @@ impl PlanKey {
 }
 
 /// Everything the expensive front half of the pipeline produced, ready for
-/// reuse: the compiled partitioning, both shuffled arenas, and the worker
-/// mapping of the build run.
+/// reuse: the compiled partitioning and both shuffled arenas.
 #[derive(Debug)]
 pub struct CachedPlan {
     /// The optimized split-tree partitioner (owns the compiled router).
     pub partitioner: SplitTreePartitioner,
-    /// The plan's band (the ε the partitioner was built for — the widest band
-    /// this plan serves).
-    pub band: BandCondition,
     /// Shuffled per-partition S-tuple index arena.
     pub s_parts: PartitionedIndex,
     /// Shuffled per-partition T-tuple index arena.
     pub t_parts: PartitionedIndex,
-    /// Partition → worker mapping of the build run (recomputed identically by
-    /// every warm run — kept for inspection without re-executing).
-    pub partition_to_worker: Vec<u32>,
     /// [`SplitTreePartitioner::plan_signature`] of the partitioner.
     pub plan_signature: u64,
 }
@@ -283,10 +276,8 @@ mod tests {
         let plan_signature = partitioner.plan_signature();
         CachedPlan {
             partitioner,
-            band,
             s_parts,
             t_parts,
-            partition_to_worker: vec![0],
             plan_signature,
         }
     }

@@ -7,28 +7,29 @@
 //! expensive front half is highly redundant. [`BandJoinService`] keeps it in a
 //! [`PlanCache`]:
 //!
-//! * a **cold miss** builds through the existing pipeline (RecPart optimize,
-//!   router compile, counting shuffle) and caches the plan — partitioner plus
-//!   both shuffled CSR arenas;
-//! * a **warm hit** (exact [`PlanKey`] match) skips straight to the reduce
-//!   phase over the cached arenas;
+//! * a **cold miss** optimizes with RecPart (which compiles the router), runs
+//!   the executor's pipeline with a fresh shuffle, and caches the plan — the
+//!   partitioner plus the two CSR arenas the run hands back;
+//! * a **warm hit** (exact [`PlanKey`] match) runs the same pipeline over the
+//!   cached arenas;
 //! * a **subsumed hit** serves a query whose band is per-dimension *narrower*
 //!   than a cached plan's from that plan's arenas — zero new shuffles — because
 //!   every pair matching the narrower band also matched the wider one, the
 //!   wider plan's duplication co-locates it exactly once, and the join kernels
 //!   filter exactly with the query band.
 //!
-//! Every served path runs [`Executor::join_partition`] per partition and the
-//! shared `assemble_report` downstream, so a response is **bit-identical by
-//! construction** to a one-shot [`Executor::execute`] with the same partitioner
-//! and query band — only wall-clock fields differ (a warm response reports
+//! Every path is the executor's one pipeline (see [`crate::executor`]), so a
+//! response is **bit-identical by construction** to a one-shot
+//! [`Executor::execute`] with the same partitioner and query band — only
+//! wall-clock fields differ (a warm response reports
 //! `map_shuffle_wall_seconds == 0.0`: no shuffle ran).
 //!
-//! With [`ServiceConfig::with_supervised`] both warm and cold paths run the
-//! reduce under the supervision layer ([`crate::supervise`]): a crashed shard
-//! worker degrades exactly one response (partial report, `degraded` flag) and
-//! the service keeps serving; recovery accounting accumulates in
-//! [`ServiceHealth`].
+//! With [`ServiceConfig::with_supervised`] every query runs the supervised
+//! schedule ([`crate::supervise`]): a crashed shard worker degrades exactly one
+//! response (partial report, `degraded` flag) and the service keeps serving;
+//! recovery accounting accumulates in [`ServiceHealth`]. A cold query whose
+//! supervised merge fails returns the error and caches nothing; its shuffle
+//! still counts in [`ServiceHealth::shuffles_run`].
 //!
 //! Verified responses (`Count` by default) check the distributed output
 //! against an exact single-node join. The service keeps that join's sorted
@@ -46,22 +47,21 @@
 //!
 //! [`append_t`]: BandJoinService::append_t
 
-use crate::executor::{ExecutionReport, Executor, ExecutorConfig, ShardPlan, VerificationLevel};
-use crate::faults::{FaultInjector, FaultPlan};
+use crate::executor::{
+    Arenas, ExecutionReport, Executor, ExecutorConfig, Schedule, VerificationLevel,
+};
+use crate::faults::FaultPlan;
 use crate::local_join::LocalJoinAlgorithm;
 use crate::machine::MachineModel;
 use crate::metrics::RecoveryCounters;
 use crate::plan_cache::{CacheOutcome, CachedPlan, PlanCache, PlanKey};
-use crate::shuffle::{PartitionedIndex, ShuffleConfig, ShuffledInputs};
+use crate::shuffle::ShuffleConfig;
 use crate::supervise::{SuperviseError, SupervisorConfig};
 use crate::verify::ExactJoinIndex;
 use rand::{rngs::StdRng, SeedableRng};
-use recpart::{
-    BandCondition, LoadModel, RecPart, RecPartConfig, Relation, SampleConfig, SplitTreePartitioner,
-};
-use recpart::{Partitioner, PlanCacheCounters};
+use recpart::{BandCondition, PlanCacheCounters};
+use recpart::{LoadModel, RecPart, RecPartConfig, Relation, SampleConfig, SplitTreePartitioner};
 use serde::{Deserialize, Serialize};
-use std::time::Instant;
 
 /// Everything the service fixes at load time; per-query knobs (band, workers,
 /// materialization) live on [`BandJoinQuery`].
@@ -71,15 +71,11 @@ pub struct ServiceConfig {
     /// are what dominates a cached plan's footprint). The most recently
     /// inserted plan is always retained even if it alone exceeds the cap.
     pub cache_capacity_bytes: u64,
-    /// Run the reduce phase of every query (warm and cold) under the
-    /// supervision layer: shard isolation, retry/backoff, graceful
-    /// degradation.
-    pub supervised: bool,
-    /// Shard count of the supervised reduce (ignored when `supervised` is
-    /// off).
-    pub shards: usize,
-    /// Retry/backoff/degradation policy of the supervised reduce.
-    pub supervisor: SupervisorConfig,
+    /// Shard count and retry/backoff/degradation policy of the supervision
+    /// layer every query (warm and cold) runs under: shard isolation,
+    /// retry/backoff, graceful degradation. `None` reduces unsupervised,
+    /// partition-parallel.
+    pub supervised: Option<(usize, SupervisorConfig)>,
     /// Verification level of every response's report.
     pub verification: VerificationLevel,
     /// Thread knob shared by the optimizer, the shuffle, and the local joins
@@ -104,9 +100,7 @@ impl Default for ServiceConfig {
     fn default() -> Self {
         ServiceConfig {
             cache_capacity_bytes: 256 << 20,
-            supervised: false,
-            shards: 4,
-            supervisor: SupervisorConfig::default(),
+            supervised: None,
             verification: VerificationLevel::Count,
             threads: 0,
             seed: 0x5EED_0001,
@@ -134,9 +128,7 @@ impl ServiceConfig {
 
     /// Run every reduce under supervision with `shards` shard workers.
     pub fn with_supervised(mut self, shards: usize, supervisor: SupervisorConfig) -> Self {
-        self.supervised = true;
-        self.shards = shards;
-        self.supervisor = supervisor;
+        self.supervised = Some((shards, supervisor));
         self
     }
 
@@ -313,37 +305,10 @@ pub struct BandJoinService {
     shuffles_run: u64,
     queries_served: u64,
     degraded_responses: u64,
-    exact_index: ExactIndexSlot,
-}
-
-/// The service's [`ExactJoinIndex`]: built by the first verified query of a
-/// dataset generation, dropped when an append bumps one.
-#[derive(Default)]
-struct ExactIndexSlot {
-    index: Option<ExactJoinIndex>,
-    builds: u64,
-}
-
-impl ExactIndexSlot {
-    /// The index over `s` and `t`, and the seconds spent building it now (0 if
-    /// it was already built).
-    fn get(&mut self, s: &Relation, t: &Relation) -> (&ExactJoinIndex, f64) {
-        let mut build_seconds = 0.0;
-        if self.index.is_none() {
-            let start = Instant::now();
-            self.index = Some(ExactJoinIndex::build(s, t));
-            self.builds += 1;
-            build_seconds = start.elapsed().as_secs_f64();
-        }
-        (self.index.as_ref().expect("built above"), build_seconds)
-    }
-}
-
-/// What the reduce-and-report stage hands back for one query.
-struct ReduceOutcome {
-    report: ExecutionReport,
-    pairs: Option<Vec<(u32, u32)>>,
-    degraded: bool,
+    /// The exact-join index of the current dataset generation, built by its
+    /// first verified query.
+    exact_index: Option<ExactJoinIndex>,
+    exact_index_builds: u64,
 }
 
 impl BandJoinService {
@@ -367,7 +332,8 @@ impl BandJoinService {
             shuffles_run: 0,
             queries_served: 0,
             degraded_responses: 0,
-            exact_index: ExactIndexSlot::default(),
+            exact_index: None,
+            exact_index_builds: 0,
         }
     }
 
@@ -403,7 +369,7 @@ impl BandJoinService {
     fn purge_stale(&mut self) {
         self.cache
             .purge_stale(self.s.generation(), self.t.generation());
-        self.exact_index.index = None;
+        self.exact_index = None;
     }
 
     /// Aggregated introspection: cache and recovery counters, shuffle volume,
@@ -417,7 +383,7 @@ impl BandJoinService {
             cached_plans: self.cache.len(),
             queries_served: self.queries_served,
             degraded_responses: self.degraded_responses,
-            exact_index_builds: self.exact_index.builds,
+            exact_index_builds: self.exact_index_builds,
         }
     }
 
@@ -437,14 +403,17 @@ impl BandJoinService {
     }
 
     /// Answer one query with deterministic fault injection (chaos tests). The
-    /// plan's faults fire inside this query's shuffle/reduce; with
-    /// supervision enabled a shard that exhausts its retries degrades only
-    /// this response.
+    /// plan's faults fire inside this query's shuffle/reduce; a shard that
+    /// exhausts its retries degrades only this response.
     ///
-    /// Errors (`SuperviseError`) only surface when supervision is enabled and
-    /// a whole phase exhausts its budget (shuffle, merge, or — under
-    /// [`SupervisorConfig::fail_fast`] — any shard); the service stays usable
-    /// afterwards.
+    /// Errors (`SuperviseError`) surface when a whole phase exhausts its budget
+    /// (shuffle, merge, or — under [`SupervisorConfig::fail_fast`] — any
+    /// shard); the service stays usable afterwards.
+    ///
+    /// # Panics
+    /// Panics if `faults` is non-empty on a service without supervision: an
+    /// unsupervised reduce has no injection points, so the plan would never
+    /// fire.
     pub fn serve_with_faults(
         &mut self,
         query: &BandJoinQuery,
@@ -455,6 +424,11 @@ impl BandJoinService {
             self.s.dims(),
             "query band dimensionality must match the dataset"
         );
+        assert!(
+            faults.is_empty() || self.config.supervised.is_some(),
+            "fault injection needs a supervised service (ServiceConfig::with_supervised): \
+             an unsupervised query would never trip the plan"
+        );
         let exec_idx = self.ensure_executor(query.workers);
         let key = PlanKey::new(
             self.s.generation(),
@@ -462,115 +436,82 @@ impl BandJoinService {
             &query.band,
             query.workers,
         );
-        let injector = FaultInjector::new(faults.clone());
-        let mut counters = RecoveryCounters::default();
+        let schedule = match &self.config.supervised {
+            Some((shards, sup)) => Schedule::Supervised(*shards, faults, sup),
+            None => Schedule::PartitionParallel,
+        };
+        let had_index = self.exact_index.is_some();
 
         let exec = &self.executors[exec_idx].1;
-        let outcome = match self.cache.lookup(&key) {
+        let (source, plan_signature, run) = match self.cache.lookup(&key) {
             Some((plan, cache_outcome)) => {
                 let source = match cache_outcome {
                     CacheOutcome::Hit => PlanSource::WarmHit,
                     CacheOutcome::SubsumedHit => PlanSource::SubsumedHit,
                 };
-                let plan_signature = plan.plan_signature;
-                let reduced = reduce_on_arenas(
-                    exec,
-                    &self.config,
+                let run = exec.run(
+                    &plan.partitioner,
                     &self.s,
                     &self.t,
                     &query.band,
-                    &plan.partitioner,
-                    &plan.s_parts,
-                    &plan.t_parts,
-                    0.0,
+                    Arenas::Given(&plan.s_parts, &plan.t_parts),
+                    schedule,
                     query.materialize,
-                    &injector,
-                    &mut counters,
-                    &mut self.exact_index,
-                )?;
-                (source, plan_signature, reduced)
+                    Some(&mut self.exact_index),
+                );
+                (source, plan.plan_signature, run)
             }
             None => {
-                // Cold build: the full existing pipeline, then cache the plan.
-                // (The miss was counted by the lookup.)
+                // Cold build: optimize, then run with a fresh shuffle and cache
+                // the arenas it hands back. (The miss was counted by the lookup.)
                 let mut rng = StdRng::seed_from_u64(self.config.seed);
-                let result = RecPart::new(self.config.recpart_config(query.workers)).optimize(
-                    &self.s,
-                    &self.t,
-                    &query.band,
-                    &mut rng,
-                );
-                let partitioner = result.partitioner;
-                let ShuffledInputs {
-                    s_parts,
-                    t_parts,
-                    wall_seconds,
-                } = if self.config.supervised {
-                    exec.supervised_shuffle(
-                        &partitioner,
-                        &self.s,
-                        &self.t,
-                        &injector,
-                        &self.config.supervisor,
-                        &mut counters,
-                    )?
-                } else {
-                    exec.map_shuffle(&partitioner, &self.s, &self.t)
-                };
-                self.tuples_shuffled += (s_parts.len() + t_parts.len()) as u64;
-                self.shuffles_run += 1;
-                let reduced = reduce_on_arenas(
-                    exec,
-                    &self.config,
-                    &self.s,
-                    &self.t,
-                    &query.band,
+                let partitioner = RecPart::new(self.config.recpart_config(query.workers))
+                    .optimize(&self.s, &self.t, &query.band, &mut rng)
+                    .partitioner;
+                let mut run = exec.run(
                     &partitioner,
-                    &s_parts,
-                    &t_parts,
-                    wall_seconds,
+                    &self.s,
+                    &self.t,
+                    &query.band,
+                    Arenas::Shuffle,
+                    schedule,
                     query.materialize,
-                    &injector,
-                    &mut counters,
-                    &mut self.exact_index,
-                )?;
-                let plan_signature = partitioner.plan_signature();
-                // A degraded *response* does not poison the *plan*: the arenas
-                // are complete (the shuffle succeeded); only this query's
-                // reduce lost shards.
-                self.cache.insert(
-                    key,
-                    CachedPlan {
-                        band: partitioner.band().clone(),
-                        partitioner,
-                        s_parts,
-                        t_parts,
-                        partition_to_worker: reduced.report.partition_to_worker.clone(),
-                        plan_signature,
-                    },
+                    Some(&mut self.exact_index),
                 );
-                (PlanSource::ColdBuild, plan_signature, reduced)
+                let plan_signature = partitioner.plan_signature();
+                if let Some(shuffled) = run.shuffled.take() {
+                    self.tuples_shuffled += shuffled.total_input();
+                    self.shuffles_run += 1;
+                    // A degraded *response* does not poison the *plan*: the
+                    // arenas are complete; only this query's reduce lost
+                    // shards. A failed query caches nothing.
+                    if run.execution.is_ok() {
+                        let plan = CachedPlan {
+                            partitioner,
+                            s_parts: shuffled.s_parts,
+                            t_parts: shuffled.t_parts,
+                            plan_signature,
+                        };
+                        self.cache.insert(key, plan);
+                    }
+                }
+                (PlanSource::ColdBuild, plan_signature, run)
             }
         };
-        let (source, plan_signature, reduced) = outcome;
+        if !had_index && self.exact_index.is_some() {
+            self.exact_index_builds += 1;
+        }
 
-        if self.config.supervised {
-            let fired = injector.fired();
-            counters.injected_panics = fired.panics;
-            counters.injected_io_errors = fired.io_errors;
-            counters.injected_delays = fired.delays;
-        }
-        accumulate_recovery(&mut self.recovery, &counters);
+        let execution = run.execution?;
+        self.recovery += execution.recovery;
         self.queries_served += 1;
-        if reduced.degraded {
-            self.degraded_responses += 1;
-        }
+        self.degraded_responses += u64::from(execution.report.degraded);
         Ok(QueryResponse {
             source,
             plan_signature,
-            report: reduced.report,
-            pairs: reduced.pairs,
-            recovery: counters,
+            report: execution.report,
+            pairs: run.pairs,
+            recovery: execution.recovery,
         })
     }
 
@@ -585,106 +526,4 @@ impl BandJoinService {
         self.executors.push((workers, exec));
         self.executors.len() - 1
     }
-}
-
-/// The shared back half of every served query: reduce over the given arenas
-/// (supervised or not), extract the caller's pairs, assemble the report. The
-/// per-partition computation is [`Executor::join_partition`] and the report
-/// assembly is the executor's own — bit-identity with `Executor::execute` is
-/// by construction, for the plan's own band and for any narrower one (see the
-/// module docs on subsumption). A verified, non-degraded report is checked
-/// through the service's exact-join index; if this query builds it, the build
-/// time is part of the report's `verify_wall_seconds`.
-#[allow(clippy::too_many_arguments)]
-fn reduce_on_arenas(
-    exec: &Executor,
-    config: &ServiceConfig,
-    s: &Relation,
-    t: &Relation,
-    band: &BandCondition,
-    partitioner: &SplitTreePartitioner,
-    s_parts: &PartitionedIndex,
-    t_parts: &PartitionedIndex,
-    map_shuffle_wall_seconds: f64,
-    want_pairs: bool,
-    injector: &FaultInjector,
-    counters: &mut RecoveryCounters,
-    exact_index: &mut ExactIndexSlot,
-) -> Result<ReduceOutcome, SuperviseError> {
-    let num_partitions = partitioner.num_partitions().max(1);
-    assert_eq!(
-        s_parts.num_partitions(),
-        num_partitions,
-        "cached arenas were built for a different partitioning"
-    );
-    let verification = exec.config().verification;
-    let materialize = want_pairs || verification == VerificationLevel::FullPairs;
-
-    let (mut local, degraded) = if config.supervised {
-        let shard_plan = ShardPlan::contiguous(num_partitions, config.shards);
-        let (local, _shard_stats, failed) = exec.supervised_reduce(
-            s,
-            t,
-            band,
-            s_parts,
-            t_parts,
-            &shard_plan,
-            materialize,
-            injector,
-            &config.supervisor,
-            counters,
-        )?;
-        (local, !failed.is_empty())
-    } else {
-        (
-            exec.run_local_joins(s, t, band, s_parts, t_parts, materialize),
-            false,
-        )
-    };
-
-    // FullPairs verification consumes the pair list inside assemble_report, so
-    // the response clones it; otherwise the list was materialized only for the
-    // caller and is taken.
-    let pairs = if !want_pairs {
-        None
-    } else if verification == VerificationLevel::FullPairs && !degraded {
-        local.all_pairs.clone()
-    } else {
-        local.all_pairs.take()
-    };
-
-    let (index, index_build_seconds) = if verification != VerificationLevel::None && !degraded {
-        let (index, seconds) = exact_index.get(s, t);
-        (Some(index), seconds)
-    } else {
-        (None, 0.0)
-    };
-    let mut report = exec.assemble_report(
-        partitioner,
-        s,
-        t,
-        band,
-        num_partitions,
-        map_shuffle_wall_seconds,
-        local,
-        degraded,
-        index,
-    );
-    report.verify_wall_seconds += index_build_seconds;
-    Ok(ReduceOutcome {
-        report,
-        pairs,
-        degraded,
-    })
-}
-
-fn accumulate_recovery(total: &mut RecoveryCounters, add: &RecoveryCounters) {
-    total.injected_panics += add.injected_panics;
-    total.injected_io_errors += add.injected_io_errors;
-    total.injected_delays += add.injected_delays;
-    total.shuffle_retries += add.shuffle_retries;
-    total.shard_retries += add.shard_retries;
-    total.speculative_launches += add.speculative_launches;
-    total.speculative_wins += add.speculative_wins;
-    total.merge_retries += add.merge_retries;
 }

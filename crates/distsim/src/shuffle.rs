@@ -4,7 +4,7 @@
 //! The per-partition lists live in one flat arena per side ([`PartitionedIndex`]),
 //! built with a **two-pass count/scatter layout** over the partitioner's block API
 //! (`Partitioner::assign_s_block`/`assign_t_block` into an
-//! [`AssignmentSink`](recpart::AssignmentSink)):
+//! [`AssignmentSink`]):
 //!
 //! * **pass 1 (count)** routes each contiguous input chunk through a *count-only*
 //!   sink — per-partition assignment counts, nothing materialized;
@@ -19,7 +19,7 @@
 //! runs twice, but no `(partition, tuple)` pair list is ever materialized) or
 //! replays pairs pass 1 recorded (routing runs once, 8 bytes of buffer traffic per
 //! assignment) is the partitioner's declared
-//! [`ScatterPolicy`](recpart::ScatterPolicy): cheap closed-form strategies re-route,
+//! [`ScatterPolicy`]: cheap closed-form strategies re-route,
 //! compute-heavy split-tree descent keeps the pair list. Both policies write the
 //! identical arena. Chunks are contiguous ascending index ranges laid out in chunk
 //! order, and the block API is required to emit assignments in per-tuple routing

@@ -1,9 +1,10 @@
 //! Supervised sharded execution: `catch_unwind` worker isolation, capped
 //! exponential backoff, straggler speculation, and graceful degradation.
 //!
-//! [`Executor::execute_supervised`] wraps the shared-nothing sharded reduce
-//! phase of [`Executor::execute_sharded`] in a supervision layer modelled on a
-//! real cluster scheduler:
+//! [`Executor::execute_supervised`] runs the executor's one pipeline with the
+//! supervised schedule: the shuffle and the `N` contiguous shards of the reduce
+//! run under a supervisor modelled on a real cluster scheduler. The plan-cached
+//! service runs the same schedule over cached arenas.
 //!
 //! * **Isolation** — every shard attempt runs on its own OS thread behind
 //!   `catch_unwind`, so a panicking worker (injected or real) takes down its
@@ -13,7 +14,7 @@
 //! * **Retry with capped exponential backoff** — a failed attempt is relaunched
 //!   up to [`SupervisorConfig::max_attempts`] times; attempt `k` sleeps
 //!   `min(cap, base · 2^(k−2))` ms first (on the worker thread, never blocking
-//!   the supervisor). The shuffle and merge phases get the same retry loop:
+//!   the supervisor). The shuffle and merge phases go through one retry loop:
 //!   both are pure functions of immutable inputs, so re-running them is safe.
 //! * **Straggler speculation** — with a [`SupervisorConfig::shard_deadline_ms`],
 //!   a shard still running past its deadline gets one speculative duplicate
@@ -29,18 +30,17 @@
 //!
 //! The invariant throughout: **any run that ultimately succeeds is
 //! bit-identical to the fault-free path.** This holds by construction, not by
-//! checking — every attempt invokes the same `join_partition`, the merge is the
-//! same `merge_shard_outcomes`, and the report assembly is the same
-//! `assemble_report` the unsupervised paths use. The chaos proptest in
-//! `tests/sharded_execution.rs` sweeps random [`FaultPlan`]s to enforce it.
+//! checking — every attempt joins its partitions with the same code, and the
+//! merge and report assembly are the ones every other schedule runs. The chaos
+//! proptest in `tests/sharded_execution.rs` sweeps random [`FaultPlan`]s to
+//! enforce it.
 
 use crate::executor::{
-    merge_shard_outcomes, ExecutionReport, Executor, LocalJoinPhase, PartitionJoinOutcome,
-    ShardOutcome, ShardPlan, VerificationLevel,
+    Arenas, ExecutionReport, Executor, PartitionJoinOutcome, Schedule, ShardOutcome, ShardPlan,
 };
 use crate::faults::{FaultContext, FaultInjector, FaultPlan, InjectedPanic, InjectionPoint};
 use crate::metrics::{RecoveryCounters, ShardStats};
-use crate::shuffle::{PartitionedIndex, ShuffledInputs};
+use crate::shuffle::{try_shuffle, PartitionedIndex, ShuffledInputs};
 use recpart::{BandCondition, Partitioner, Relation};
 use serde::{Deserialize, Serialize};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -211,26 +211,28 @@ impl std::fmt::Display for SuperviseError {
 
 impl std::error::Error for SuperviseError {}
 
-/// The result of a supervised sharded execution.
+/// The result of a sharded execution, supervised or not
+/// ([`crate::ShardedExecution`] names the same struct).
 #[derive(Debug, Clone)]
 pub struct SupervisedExecution {
     /// The merged report. With no failed shards it is bit-identical to
-    /// [`Executor::execute_sharded`] (and hence to [`Executor::execute`]);
-    /// with failed shards it is partial and flagged
+    /// [`Executor::execute`]; with failed shards it is partial and flagged
     /// [`degraded`](ExecutionReport::degraded).
     pub report: ExecutionReport,
     /// Per-shard ownership, measurements, and supervision accounting
     /// ([`ShardStats::attempts`], [`ShardStats::recovery_wall_seconds`]).
     pub shard_stats: Vec<ShardStats>,
-    /// Simulated join time under per-shard job overhead (as in
-    /// [`crate::ShardedExecution::simulated_sharded_seconds`]).
+    /// Simulated join time when each shard pays its own per-process job
+    /// overhead (see [`crate::MachineModel::sharded_join_seconds`]); the
+    /// report's `simulated_join_seconds` keeps the single-job model for
+    /// comparability.
     pub simulated_sharded_seconds: f64,
     /// The shards that exhausted their retry budget — empty for a fully
     /// successful run; their ranges exactly cover the partitions the degraded
     /// report is missing.
     pub failed: Vec<ShardError>,
     /// What the supervisor did to get here: faults fired, retries, backoff,
-    /// speculation.
+    /// speculation. All zeros on an unsupervised run.
     pub recovery: RecoveryCounters,
 }
 
@@ -293,80 +295,76 @@ impl Executor {
         plan: &FaultPlan,
         sup: &SupervisorConfig,
     ) -> Result<SupervisedExecution, SuperviseError> {
-        let injector = FaultInjector::new(plan.clone());
-        let mut counters = RecoveryCounters::default();
-        let num_partitions = partitioner.num_partitions().max(1);
-        let shard_plan = ShardPlan::contiguous(num_partitions, shards);
-
-        // --- Phase 1: shuffle, retried as a whole (pure + idempotent). ---
-        let shuffled = self.supervised_shuffle(partitioner, s, t, &injector, sup, &mut counters)?;
-        let ShuffledInputs {
-            s_parts,
-            t_parts,
-            wall_seconds: map_shuffle_wall_seconds,
-        } = shuffled;
-
-        // --- Phases 2–3: shard attempts + merge, shared with the plan-cached
-        // service (which runs the same reduce over cached arenas). ---
-        let materialize = self.config().verification == VerificationLevel::FullPairs;
-        let (local, shard_stats, failed) = self.supervised_reduce(
-            s,
-            t,
-            band,
-            &s_parts,
-            &t_parts,
-            &shard_plan,
-            materialize,
-            &injector,
-            sup,
-            &mut counters,
-        )?;
-        let degraded = !failed.is_empty();
-        let report = self.assemble_report(
+        let schedule = Schedule::Supervised(shards, plan, sup);
+        self.run(
             partitioner,
             s,
             t,
             band,
-            num_partitions,
-            map_shuffle_wall_seconds,
-            local,
-            degraded,
+            Arenas::Shuffle,
+            schedule,
+            false,
             None,
-        );
-        let simulated_sharded_seconds = self.config().machine.sharded_join_seconds(
-            report.stats.total_input,
-            &report.per_worker_work,
-            shard_plan.num_shards(),
-        );
+        )
+        .execution
+    }
+}
 
-        let fired = injector.fired();
-        counters.injected_panics = fired.panics;
-        counters.injected_io_errors = fired.io_errors;
-        counters.injected_delays = fired.delays;
+/// One supervised run's armed fault injector, retry policy, and recovery
+/// accounting.
+pub(crate) struct Supervisor<'a> {
+    injector: FaultInjector,
+    config: &'a SupervisorConfig,
+    counters: RecoveryCounters,
+}
 
-        Ok(SupervisedExecution {
-            report,
-            shard_stats,
-            simulated_sharded_seconds,
-            failed,
-            recovery: counters,
+impl<'a> Supervisor<'a> {
+    pub(crate) fn new(plan: &FaultPlan, config: &'a SupervisorConfig) -> Self {
+        Supervisor {
+            injector: FaultInjector::new(plan.clone()),
+            config,
+            counters: RecoveryCounters::default(),
+        }
+    }
+
+    /// The shuffle as one retryable unit: a panic or injected I/O error on
+    /// either side discards the partial arenas and re-runs the (pure,
+    /// idempotent) shuffle from scratch after backoff.
+    pub(crate) fn shuffle<P: Partitioner + ?Sized>(
+        &mut self,
+        exec: &Executor,
+        partitioner: &P,
+        s: &Relation,
+        t: &Relation,
+    ) -> Result<ShuffledInputs, SuperviseError> {
+        let injector = &self.injector;
+        retry(self.config, &mut self.counters.shuffle_retries, |attempt| {
+            try_shuffle(
+                partitioner,
+                s,
+                t,
+                partitioner.num_partitions().max(1),
+                &exec.parallelism(),
+                &exec.shuffle_config,
+                Some(&FaultContext { injector, attempt }),
+            )
+        })
+        .map_err(|(attempts, last_error)| SuperviseError::Shuffle {
+            attempts,
+            last_error,
         })
     }
 
-    /// Phases 2–3 of a supervised run — shard attempts behind `catch_unwind`
-    /// (retry, backoff, deadline speculation) and the retried merge — over
-    /// arenas the caller already holds. [`Executor::execute_supervised`] feeds
-    /// it a fresh shuffle; the plan-cached service feeds it cached arenas, so
-    /// both paths share every line of supervision logic.
-    ///
-    /// Returns the merged [`LocalJoinPhase`] (pairs included when
-    /// `materialize`), per-shard accounting, and the structured failures of
-    /// exhausted shards (empty on full success; non-empty means the caller must
-    /// assemble a degraded report). Fails outright only when degradation is
-    /// disabled or the merge budget is exhausted.
+    /// The supervised reduce: shard attempts behind `catch_unwind` (retry,
+    /// backoff, deadline speculation), then the retried merge trip. Returns the
+    /// outcomes in shard order, the structured failures of exhausted shards
+    /// (empty on full success; non-empty means a degraded report), and the
+    /// phase wall-clock. Fails outright only when degradation is disabled or
+    /// the merge budget is exhausted.
     #[allow(clippy::too_many_arguments)]
-    pub(crate) fn supervised_reduce(
-        &self,
+    pub(crate) fn join_shards(
+        &mut self,
+        exec: &Executor,
         s: &Relation,
         t: &Relation,
         band: &BandCondition,
@@ -374,10 +372,10 @@ impl Executor {
         t_parts: &PartitionedIndex,
         shard_plan: &ShardPlan,
         materialize: bool,
-        injector: &FaultInjector,
-        sup: &SupervisorConfig,
-        counters: &mut RecoveryCounters,
-    ) -> Result<(LocalJoinPhase, Vec<ShardStats>, Vec<ShardError>), SuperviseError> {
+    ) -> Result<(Vec<ShardOutcome>, Vec<ShardError>, f64), SuperviseError> {
+        let sup = self.config;
+        let injector = &self.injector;
+        let counters = &mut self.counters;
         let phase_start = Instant::now();
         let mut slots: Vec<ShardSlot> = (0..shard_plan.num_shards())
             .map(|_| ShardSlot {
@@ -398,7 +396,7 @@ impl Executor {
             // backoff is slept by the worker, so the supervisor never blocks.
             let launch = |shard: usize, attempt: u32, backoff_ms: u64| {
                 let tx = tx.clone();
-                let (lo, hi) = shard_plan.partition_range(shard);
+                let range = shard_plan.partition_range(shard);
                 scope.spawn(move || {
                     if backoff_ms > 0 {
                         std::thread::sleep(Duration::from_millis(backoff_ms));
@@ -410,19 +408,15 @@ impl Executor {
                                 .trip(InjectionPoint::ShardJoin, shard as u32, attempt)
                                 .map_err(|e| ShardFailureKind::Io(e.to_string()))?;
                             let join_start = Instant::now();
-                            let outcomes: Vec<PartitionJoinOutcome> = (lo..hi)
-                                .map(|p| {
-                                    self.join_partition(
-                                        s,
-                                        t,
-                                        band,
-                                        s_parts,
-                                        t_parts,
-                                        materialize,
-                                        p,
-                                    )
-                                })
-                                .collect();
+                            let outcomes = exec.join_partitions(
+                                s,
+                                t,
+                                band,
+                                s_parts,
+                                t_parts,
+                                materialize,
+                                range,
+                            );
                             Ok((outcomes, join_start.elapsed().as_secs_f64()))
                         },
                     ));
@@ -441,7 +435,6 @@ impl Executor {
                     });
                 });
             };
-
             let mut live_attempts = 0u64;
             for (shard, slot) in slots.iter_mut().enumerate() {
                 slot.attempts_launched = 1;
@@ -570,74 +563,53 @@ impl Executor {
             return Err(SuperviseError::ShardsFailed(failed));
         }
 
-        // --- Phase 3: merge, retried. The merge computation itself is pure
-        // and infallible; its failure mode is the injected crash at the
+        // --- Merge, retried. The merge computation itself is pure and
+        // infallible; its failure mode is the injected crash at the
         // [`InjectionPoint::Merge`] point, so retry the trip until it clears
-        // (or the budget is gone), then merge once. ---
-        let mut attempt = 0u32;
-        loop {
-            attempt += 1;
-            let tripped = catch_unwind(AssertUnwindSafe(|| {
-                injector.trip(InjectionPoint::Merge, 0, attempt)
-            }));
-            let failure = match tripped {
-                Ok(Ok(())) => break,
-                Ok(Err(e)) => e.to_string(),
-                Err(payload) => describe_panic(&*payload),
-            };
-            if attempt >= sup.max_attempts {
-                return Err(SuperviseError::Merge {
-                    attempts: attempt,
-                    last_error: failure,
-                });
-            }
-            counters.merge_retries += 1;
-            std::thread::sleep(Duration::from_millis(sup.backoff_ms(attempt + 1)));
-        }
-        let (local, shard_stats) = merge_shard_outcomes(
-            shard_plan,
-            s_parts,
-            t_parts,
-            shard_outcomes,
-            materialize,
-            local_wall_seconds,
-            shard_plan.num_shards(),
-        );
-        Ok((local, shard_stats, failed))
+        // (or the budget is gone); the caller then merges once. ---
+        retry(sup, &mut counters.merge_retries, |attempt| {
+            injector.trip(InjectionPoint::Merge, 0, attempt)
+        })
+        .map_err(|(attempts, last_error)| SuperviseError::Merge {
+            attempts,
+            last_error,
+        })?;
+        Ok((shard_outcomes, failed, local_wall_seconds))
     }
 
-    /// The supervised shuffle phase: the whole (pure, idempotent) shuffle is
-    /// one retryable unit — a panic or injected I/O error on either side
-    /// discards the partial arenas and re-runs from scratch after backoff.
-    pub(crate) fn supervised_shuffle<P: Partitioner + ?Sized>(
-        &self,
-        partitioner: &P,
-        s: &Relation,
-        t: &Relation,
-        injector: &FaultInjector,
-        sup: &SupervisorConfig,
-        counters: &mut RecoveryCounters,
-    ) -> Result<ShuffledInputs, SuperviseError> {
-        let mut attempt = 0u32;
-        loop {
-            attempt += 1;
-            let ctx = FaultContext { injector, attempt };
-            let result = catch_unwind(AssertUnwindSafe(|| {
-                self.try_map_shuffle_faulted(partitioner, s, t, &ctx)
-            }));
-            let failure = match result {
-                Ok(Ok(shuffled)) => return Ok(shuffled),
-                Ok(Err(e)) => e.to_string(),
-                Err(payload) => describe_panic(&*payload),
-            };
-            if attempt >= sup.max_attempts {
-                return Err(SuperviseError::Shuffle {
-                    attempts: attempt,
-                    last_error: failure,
-                });
-            }
-            counters.shuffle_retries += 1;
-            std::thread::sleep(Duration::from_millis(sup.backoff_ms(attempt + 1)));
+    /// The recovery counters of the run, with the faults that fired.
+    pub(crate) fn finish(self) -> RecoveryCounters {
+        let fired = self.injector.fired();
+        RecoveryCounters {
+            injected_panics: fired.panics,
+            injected_io_errors: fired.io_errors,
+            injected_delays: fired.delays,
+            ..self.counters
         }
+    }
+}
+
+/// The one catch_unwind/backoff loop of the supervised shuffle and merge: run
+/// `attempt_once(attempt)` until it succeeds or `sup.max_attempts` attempts are
+/// spent. Each retry bumps `retries` and sleeps its backoff first. On
+/// exhaustion returns the attempts made and the last failure, described.
+fn retry<T, E: std::fmt::Display>(
+    sup: &SupervisorConfig,
+    retries: &mut u64,
+    mut attempt_once: impl FnMut(u32) -> Result<T, E>,
+) -> Result<T, (u32, String)> {
+    let mut attempt = 0u32;
+    loop {
+        attempt += 1;
+        let failure = match catch_unwind(AssertUnwindSafe(|| attempt_once(attempt))) {
+            Ok(Ok(value)) => return Ok(value),
+            Ok(Err(e)) => e.to_string(),
+            Err(payload) => describe_panic(&*payload),
+        };
+        if attempt >= sup.max_attempts {
+            return Err((attempt, failure));
+        }
+        *retries += 1;
+        std::thread::sleep(Duration::from_millis(sup.backoff_ms(attempt + 1)));
     }
 }

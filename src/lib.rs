@@ -5,8 +5,8 @@
 //! API of the four underlying crates so that applications can depend on a single crate:
 //!
 //! * [`recpart`] — the RecPart optimizer and split-tree partitioner (the paper's
-//!   contribution), plus the shared vocabulary types ([`Relation`], [`BandCondition`],
-//!   the [`Partitioner`] trait, load models and partitioning statistics);
+//!   contribution), plus the shared vocabulary types ([`recpart::Relation`],
+//!   [`recpart::BandCondition`], the [`recpart::Partitioner`] trait, load models and partitioning statistics);
 //! * [`baselines`] — the competitor partitioners (1-Bucket, Grid-ε, Grid*, CSIO,
 //!   IEJoin-style blocks);
 //! * [`distsim`] — the simulated MapReduce-style cluster: local join algorithms, the

@@ -440,3 +440,107 @@ proptest! {
         assert_health_invariants(&service, stream.len() as u64);
     }
 }
+
+/// A cold query whose merge keeps failing past the retry budget returns the
+/// merge error and caches nothing, but its shuffle did run and is counted. The
+/// next fault-free query cold-builds and matches the one-shot oracle.
+#[test]
+fn supervised_cold_query_failing_its_merge_caches_nothing_but_counts_its_shuffle() {
+    let (s, t) = workload(31, 500, 1);
+    let config = ServiceConfig::new()
+        .with_seed(59)
+        .with_sample(small_sample())
+        .with_threads(1)
+        .with_supervised(3, SupervisorConfig::default().with_max_attempts(2));
+    let mut service = BandJoinService::new(s, t, config);
+    let query = BandJoinQuery::new(BandCondition::symmetric(&[0.05]), 4);
+
+    let merge_down = FaultPlan::new(vec![FaultSpec {
+        point: InjectionPoint::Merge,
+        unit: 0,
+        fire_attempts: u32::MAX,
+        kind: FaultKind::IoError,
+    }]);
+    match service.serve_with_faults(&query, &merge_down) {
+        Err(SuperviseError::Merge { attempts, .. }) => assert_eq!(attempts, 2),
+        other => panic!("expected a merge failure, got {other:?}"),
+    }
+    let h = service.health();
+    assert_eq!(h.cached_plans, 0, "a failed query caches no plan");
+    assert_eq!(h.cache.misses, 1);
+    assert_eq!(h.queries_served, 0);
+    assert_eq!(h.shuffles_run, 1, "the failed query's shuffle ran");
+    assert_eq!(h.shuffles_run, h.cache.misses);
+    let shuffled_by_failure = h.tuples_shuffled;
+    assert!(shuffled_by_failure > 0, "its tuples are counted");
+
+    let cold = service.serve(&query).expect("fault-free query");
+    assert_eq!(cold.source, PlanSource::ColdBuild);
+    assert!(!cold.report.degraded);
+    assert_eq!(cold.report.correct, Some(true));
+    let oracle = oracle_for(&service, &cold, &query.band, 4);
+    assert_reports_identical(&cold.report, &oracle, "cold after a failed merge");
+    let h = service.health();
+    assert_eq!((h.shuffles_run, h.cache.misses), (2, 2));
+    assert_eq!(
+        h.tuples_shuffled,
+        2 * shuffled_by_failure,
+        "the same plan twice"
+    );
+    assert_eq!(h.cached_plans, 1);
+}
+
+/// A fault plan handed to an unsupervised service would never fire: the call
+/// is rejected instead of passing a chaos test without injecting anything.
+#[test]
+#[should_panic(expected = "needs a supervised service")]
+fn fault_plan_on_an_unsupervised_service_is_rejected() {
+    let (s, t) = workload(37, 200, 1);
+    let config = ServiceConfig::new()
+        .with_sample(small_sample())
+        .with_threads(1);
+    let mut service = BandJoinService::new(s, t, config);
+    let crash = FaultPlan::new(vec![FaultSpec {
+        point: InjectionPoint::ShardJoin,
+        unit: 0,
+        fire_attempts: u32::MAX,
+        kind: FaultKind::Panic,
+    }]);
+    let query = BandJoinQuery::new(BandCondition::symmetric(&[0.05]), 4);
+    let _ = service.serve_with_faults(&query, &crash);
+}
+
+/// A degraded cold response still caches its plan: the shuffle completed, so
+/// the arenas are whole and the next query is a healthy warm hit.
+#[test]
+fn degraded_cold_response_still_caches_its_plan() {
+    let (s, t) = workload(41, 500, 1);
+    let config = ServiceConfig::new()
+        .with_seed(61)
+        .with_sample(small_sample())
+        .with_threads(1)
+        .with_supervised(2, SupervisorConfig::default().with_max_attempts(2));
+    let mut service = BandJoinService::new(s, t, config);
+    let query = BandJoinQuery::new(BandCondition::symmetric(&[0.05]), 4);
+    let crash = FaultPlan::new(vec![FaultSpec {
+        point: InjectionPoint::ShardJoin,
+        unit: 0,
+        fire_attempts: u32::MAX,
+        kind: FaultKind::Panic,
+    }]);
+
+    let cold = service
+        .serve_with_faults(&query, &crash)
+        .expect("degraded but answered");
+    assert_eq!(cold.source, PlanSource::ColdBuild);
+    assert!(cold.report.degraded);
+    assert_eq!(service.health().cached_plans, 1, "the plan is cached");
+
+    let warm = service.serve(&query).expect("healthy warm hit");
+    assert_eq!(warm.source, PlanSource::WarmHit);
+    assert!(!warm.report.degraded);
+    let oracle = oracle_for(&service, &warm, &query.band, 4);
+    assert_reports_identical(&warm.report, &oracle, "warm after a degraded cold build");
+    assert_health_invariants(&service, 2);
+    assert_eq!(service.health().degraded_responses, 1);
+}

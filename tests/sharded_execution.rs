@@ -632,3 +632,57 @@ fn spill_backed_shuffle_feeds_shards_identically() {
         }
     }
 }
+
+/// `map_shuffle` followed by `execute_prepared` is `execute` split in two: every
+/// deterministic report field matches, under `Count` and `FullPairs`, sequentially
+/// and on all cores. The prepared run reports no shuffle time of its own.
+#[test]
+fn map_shuffle_then_execute_prepared_equals_execute() {
+    let (s, t, band, partitioner) = small_workload(23);
+    for verification in [VerificationLevel::Count, VerificationLevel::FullPairs] {
+        for threads in [1usize, 0] {
+            let label = format!("{verification:?} threads {threads}");
+            let exec = Executor::new(
+                ExecutorConfig::new(6)
+                    .with_verification(verification)
+                    .with_threads(threads),
+            );
+            let want = exec.execute(&partitioner, &s, &t, &band);
+            let shuffled = exec.map_shuffle(&partitioner, &s, &t);
+            let got = exec.execute_prepared(
+                &partitioner,
+                &s,
+                &t,
+                &band,
+                &shuffled.s_parts,
+                &shuffled.t_parts,
+            );
+            assert_eq!(want.correct, Some(true), "{label}");
+            assert_reports_identical(&got, &want, &label);
+            assert_eq!(got.threads_used, want.threads_used, "{label}: threads used");
+            assert_eq!(
+                got.simulated_join_seconds, want.simulated_join_seconds,
+                "{label}: simulated join time"
+            );
+            assert_eq!(got.map_shuffle_wall_seconds, 0.0, "{label}: no shuffle ran");
+        }
+    }
+}
+
+/// Arenas shuffled for one partitioning cannot be reduced under another.
+#[test]
+#[should_panic(expected = "different partitioning")]
+fn execute_prepared_rejects_arenas_of_another_partitioning() {
+    let (s, t, band, partitioner) = small_workload(29);
+    let exec = Executor::with_workers(6);
+    let single = exec.map_shuffle(&band_join::recpart::partition::SinglePartition, &s, &t);
+    assert_ne!(partitioner.num_partitions(), 1, "the workload must split");
+    let _ = exec.execute_prepared(
+        &partitioner,
+        &s,
+        &t,
+        &band,
+        &single.s_parts,
+        &single.t_parts,
+    );
+}
